@@ -16,9 +16,7 @@
  *    config) fingerprints, so an unchanged request skips the pipeline
  *    entirely;
  *  - **per-workload tuned EqSat strategies** (the data previously
- *    stranded in bench/fig10.tuned), with a "global" fallback entry;
- *  - **named e-graph snapshots** (EGraphSnapshot round-trips, used by
- *    the differential tests and available to tooling).
+ *    stranded in bench/fig10.tuned), with a "global" fallback entry.
  *
  * Determinism contract: a warm run that hits the corpus produces output
  * byte-identical to the cold run it replaces (modulo the "seconds"
@@ -201,15 +199,6 @@ class Corpus final : public rii::AuChunkCache {
 
     /** @} */
 
-    /** @name Named e-graph snapshots
-     *  @{ */
-
-    void storeEGraph(const std::string& name, EGraphSnapshot snapshot);
-    const EGraphSnapshot* findEGraph(const std::string& name) const;
-    size_t egraphCount() const;
-
-    /** @} */
-
     /**
      * Distinct interned term nodes reachable from corpus-held patterns
      * -- the nodes the corpus's strong references pin across
@@ -230,7 +219,6 @@ class Corpus final : public rii::AuChunkCache {
     std::unordered_map<uint64_t, std::unique_ptr<rii::AuCachedChunk>>
         chunks_;
     std::map<std::string, std::unique_ptr<CachedResult>> results_;
-    std::map<std::string, EGraphSnapshot> egraphs_;
 };
 
 /**

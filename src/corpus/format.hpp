@@ -32,8 +32,9 @@ namespace corpus {
 /** File magic; the trailing newline catches ASCII-mode corruption. */
 inline constexpr char kMagic[8] = {'I', 'S', 'A', 'M', 'C', 'R', 'P', '\n'};
 
-/** Bumped on any incompatible layout change; old files are refused. */
-inline constexpr uint32_t kFormatVersion = 1;
+/** Bumped on any incompatible layout change; old files are refused.
+ *  Version 2 dropped the e-graph snapshot section (tag 5). */
+inline constexpr uint32_t kFormatVersion = 2;
 
 /** Section tags (u32, stable). */
 enum class SectionTag : uint32_t {
@@ -41,7 +42,6 @@ enum class SectionTag : uint32_t {
     Library = 2,     ///< accumulated cross-workload pattern library
     AuChunks = 3,    ///< AU sweep chunk memo keyed by trace signature
     Results = 4,     ///< full analysis results keyed by analysis key
-    EGraphs = 5,     ///< named e-graph snapshots
 };
 
 /** FNV-1a 64-bit over a byte range. */

@@ -6,8 +6,6 @@
 
 #include "support/check.hpp"
 #include "support/hashing.hpp"
-#include "support/pool.hpp"
-#include "support/reclaim.hpp"
 #include "support/telemetry.hpp"
 
 namespace isamore {
@@ -38,235 +36,27 @@ ENode::str() const
     return os.str();
 }
 
-EGraph::EGraph()
-    : segments_(std::make_unique<std::atomic<Segment*>[]>(kMaxSegments)),
-      shards_(std::make_unique<Shard[]>(kShardCount)),
-      stripes_(std::make_unique<std::mutex[]>(kStripeCount))
-{}
-
-EGraph::~EGraph()
-{
-    releaseStorage();
-}
-
-void
-EGraph::releaseStorage()
-{
-    if (!segments_) {
-        return;
-    }
-    const uint32_t ids = idCount_.load(std::memory_order_relaxed);
-    const size_t used =
-        (static_cast<size_t>(ids) + kSegmentSize - 1) >> kSegmentBits;
-    for (size_t s = 0; s < used; ++s) {
-        Segment* segment = segments_[s].load(std::memory_order_relaxed);
-        if (segment == nullptr) {
-            continue;
-        }
-        const size_t base = s << kSegmentBits;
-        const size_t count = std::min(kSegmentSize, ids - base);
-        for (size_t i = 0; i < count; ++i) {
-            // Classes retired to the reclaim limbo were nulled out of
-            // their slot first, so this never double-frees.
-            delete segment->slots[i].cls.load(std::memory_order_relaxed);
-        }
-        delete segment;
-        segments_[s].store(nullptr, std::memory_order_relaxed);
-    }
-    idCount_.store(0, std::memory_order_relaxed);
-}
-
-void
-EGraph::copyFrom(const EGraph& other)
-{
-    const uint32_t ids = other.idCount_.load(std::memory_order_acquire);
-    idCount_.store(ids, std::memory_order_relaxed);
-    for (uint32_t id = 0; id < ids; ++id) {
-        ensureSlot(id);
-        Slot& dst = slotRef(id);
-        const Slot& src = other.slotRef(id);
-        dst.parent.store(src.parent.load(std::memory_order_relaxed),
-                         std::memory_order_relaxed);
-        for (size_t j = 0; j < kStampDepths; ++j) {
-            dst.stamps[j].store(
-                src.stamps[j].load(std::memory_order_relaxed),
-                std::memory_order_relaxed);
-        }
-        const EClass* cls = src.cls.load(std::memory_order_relaxed);
-        dst.cls.store(cls == nullptr ? nullptr : new EClass(*cls),
-                      std::memory_order_relaxed);
-    }
-    for (size_t s = 0; s < kShardCount; ++s) {
-        shards_[s].map = other.shards_[s].map;
-    }
-    classCount_.store(other.classCount_.load(std::memory_order_relaxed),
-                      std::memory_order_relaxed);
-    nodeCount_.store(other.nodeCount_.load(std::memory_order_relaxed),
-                     std::memory_order_relaxed);
-    version_.store(other.version_.load(std::memory_order_relaxed),
-                   std::memory_order_relaxed);
-    clock_.store(other.clock_.load(std::memory_order_relaxed),
-                 std::memory_order_relaxed);
-    worklist_ = other.worklist_;
-    dirtySeeds_ = other.dirtySeeds_;
-    lastRebuild_ = other.lastRebuild_;
-    classIdsCache_ = other.classIdsCache_;
-    opIndex_ = other.opIndex_;
-    opStampCache_ = other.opStampCache_;
-    cachesStale_.store(other.cachesStale_.load(std::memory_order_relaxed),
-                       std::memory_order_relaxed);
-}
-
-EGraph::EGraph(const EGraph& other)
-    : EGraph()
-{
-    copyFrom(other);
-}
-
-EGraph&
-EGraph::operator=(const EGraph& other)
-{
-    if (this == &other) {
-        return *this;
-    }
-    releaseStorage();
-    if (!segments_) {
-        segments_ = std::make_unique<std::atomic<Segment*>[]>(kMaxSegments);
-        shards_ = std::make_unique<Shard[]>(kShardCount);
-        stripes_ = std::make_unique<std::mutex[]>(kStripeCount);
-    }
-    for (size_t s = 0; s < kShardCount; ++s) {
-        shards_[s].map.clear();
-    }
-    copyFrom(other);
-    return *this;
-}
-
-EGraph::EGraph(EGraph&& other) noexcept
-    : segments_(std::move(other.segments_)),
-      shards_(std::move(other.shards_)),
-      stripes_(std::move(other.stripes_)),
-      idCount_(other.idCount_.load(std::memory_order_relaxed)),
-      classCount_(other.classCount_.load(std::memory_order_relaxed)),
-      nodeCount_(other.nodeCount_.load(std::memory_order_relaxed)),
-      version_(other.version_.load(std::memory_order_relaxed)),
-      clock_(other.clock_.load(std::memory_order_relaxed)),
-      worklist_(std::move(other.worklist_)),
-      dirtySeeds_(std::move(other.dirtySeeds_)),
-      lastRebuild_(other.lastRebuild_),
-      classIdsCache_(std::move(other.classIdsCache_)),
-      opIndex_(std::move(other.opIndex_)),
-      opStampCache_(std::move(other.opStampCache_)),
-      cachesStale_(other.cachesStale_.load(std::memory_order_relaxed))
-{
-    other.idCount_.store(0, std::memory_order_relaxed);
-}
-
-EGraph&
-EGraph::operator=(EGraph&& other) noexcept
-{
-    if (this == &other) {
-        return *this;
-    }
-    releaseStorage();
-    segments_ = std::move(other.segments_);
-    shards_ = std::move(other.shards_);
-    stripes_ = std::move(other.stripes_);
-    idCount_.store(other.idCount_.load(std::memory_order_relaxed),
-                   std::memory_order_relaxed);
-    classCount_.store(other.classCount_.load(std::memory_order_relaxed),
-                      std::memory_order_relaxed);
-    nodeCount_.store(other.nodeCount_.load(std::memory_order_relaxed),
-                     std::memory_order_relaxed);
-    version_.store(other.version_.load(std::memory_order_relaxed),
-                   std::memory_order_relaxed);
-    clock_.store(other.clock_.load(std::memory_order_relaxed),
-                 std::memory_order_relaxed);
-    worklist_ = std::move(other.worklist_);
-    dirtySeeds_ = std::move(other.dirtySeeds_);
-    lastRebuild_ = other.lastRebuild_;
-    classIdsCache_ = std::move(other.classIdsCache_);
-    opIndex_ = std::move(other.opIndex_);
-    opStampCache_ = std::move(other.opStampCache_);
-    cachesStale_.store(other.cachesStale_.load(std::memory_order_relaxed),
-                       std::memory_order_relaxed);
-    other.idCount_.store(0, std::memory_order_relaxed);
-    return *this;
-}
-
-EGraph::Slot&
-EGraph::slotRef(EClassId id) const
-{
-    ISAMORE_CHECK(id < idCount_.load(std::memory_order_acquire));
-    Segment* segment =
-        segments_[id >> kSegmentBits].load(std::memory_order_acquire);
-    return segment->slots[id & (kSegmentSize - 1)];
-}
-
-EGraph::Shard&
-EGraph::shardFor(uint64_t hash) const
-{
-    return shards_[hash & (kShardCount - 1)];
-}
-
-std::mutex&
-EGraph::stripeFor(EClassId id) const
-{
-    return stripes_[id & (kStripeCount - 1)];
-}
-
-void
-EGraph::ensureSlot(EClassId id)
-{
-    const size_t segment = id >> kSegmentBits;
-    ISAMORE_CHECK_MSG(segment < kMaxSegments, "e-graph id space exhausted");
-    if (segments_[segment].load(std::memory_order_acquire) != nullptr) {
-        return;
-    }
-    std::lock_guard<std::mutex> lock(growMutex_);
-    if (segments_[segment].load(std::memory_order_relaxed) == nullptr) {
-        // Segments are allocated once and freed only at destruction, so
-        // a concurrent reader's slot reference can never dangle.
-        segments_[segment].store(new Segment(), std::memory_order_release);
-    }
-}
-
 EClassId
 EGraph::find(EClassId id) const
 {
-    // Lock-free walk over atomic parent links; merges only ever move a
-    // link toward its root, so the walk stays sound mid-race.  After a
-    // rebuild every link is a self-loop or points directly at a root
-    // (compressPaths), making this O(1) until the next merge.
-    for (;;) {
-        const EClassId parent =
-            slotRef(id).parent.load(std::memory_order_acquire);
-        if (parent == id) {
-            return id;
-        }
-        id = parent;
+    // After a rebuild every link is a self-loop or points directly at a
+    // root (compressPaths), making this O(1) until the next merge.
+    ISAMORE_CHECK(id < parent_.size());
+    while (parent_[id] != id) {
+        id = parent_[id];
     }
+    return id;
 }
 
 EClassId
 EGraph::findMutable(EClassId id)
 {
-    // Path halving over the atomic links.  Racing halvers only ever
-    // store ancestors, so concurrent calls stay sound.
-    for (;;) {
-        Slot& slot = slotRef(id);
-        const EClassId parent = slot.parent.load(std::memory_order_acquire);
-        if (parent == id) {
-            return id;
-        }
-        const EClassId grand =
-            slotRef(parent).parent.load(std::memory_order_acquire);
-        if (grand == parent) {
-            return parent;
-        }
-        slot.parent.store(grand, std::memory_order_release);
-        id = grand;
+    ISAMORE_CHECK(id < parent_.size());
+    while (parent_[id] != id) {
+        parent_[id] = parent_[parent_[id]];  // path halving
+        id = parent_[id];
     }
+    return id;
 }
 
 ENode
@@ -282,75 +72,30 @@ EGraph::canonicalize(const ENode& node) const
 EClassId
 EGraph::lookup(const ENode& node) const
 {
-    ENode canonical = canonicalize(node);
-    Shard& shard = shardFor(canonical.hash());
-    EClassId hit = kInvalidClass;
-    {
-        std::lock_guard<std::mutex> lock(shard.mutex);
-        auto it = shard.map.find(canonical);
-        if (it != shard.map.end()) {
-            hit = it->second;
-        }
-    }
-    return hit == kInvalidClass ? kInvalidClass : find(hit);
-}
-
-void
-EGraph::hookParents(const ENode& node, EClassId id)
-{
-    for (const EClassId child : node.children) {
-        for (;;) {
-            const EClassId canonical = find(child);
-            std::lock_guard<std::mutex> lock(stripeFor(canonical));
-            if (slotRef(canonical).parent.load(std::memory_order_acquire) !=
-                canonical) {
-                continue;  // lost a race with merge(); re-resolve
-            }
-            EClass* data = slotRef(canonical).cls.load(
-                std::memory_order_acquire);
-            data->parents.emplace_back(node, id);
-            break;
-        }
-    }
+    const auto it = memo_.find(canonicalize(node));
+    return it == memo_.end() ? kInvalidClass : find(it->second);
 }
 
 EClassId
 EGraph::add(ENode node)
 {
-    ENode canonical = canonicalize(node);
-    Shard& shard = shardFor(canonical.hash());
-    EClassId id = kInvalidClass;
-    bool created = false;
-    {
-        std::lock_guard<std::mutex> lock(shard.mutex);
-        auto it = shard.map.find(canonical);
-        if (it != shard.map.end()) {
-            id = it->second;
-        } else {
-            id = static_cast<EClassId>(
-                idCount_.fetch_add(1, std::memory_order_acq_rel));
-            ensureSlot(id);
-            Slot& slot = slotRef(id);
-            slot.parent.store(id, std::memory_order_release);
-            const uint64_t born =
-                clock_.fetch_add(1, std::memory_order_relaxed) + 1;
-            for (size_t j = 0; j < kStampDepths; ++j) {
-                slot.stamps[j].store(born, std::memory_order_release);
-            }
-            EClass* data = new EClass();
-            data->nodes.push_back(canonical);
-            slot.cls.store(data, std::memory_order_release);
-            shard.map.emplace(canonical, id);
-            classCount_.fetch_add(1, std::memory_order_relaxed);
-            nodeCount_.fetch_add(1, std::memory_order_relaxed);
-            cachesStale_.store(true, std::memory_order_relaxed);
-            created = true;
-        }
+    for (EClassId& child : node.children) {
+        child = find(child);
     }
-    if (!created) {
-        return find(id);
+    if (const auto it = memo_.find(node); it != memo_.end()) {
+        return find(it->second);
     }
-    hookParents(canonical, id);
+    const auto id = static_cast<EClassId>(parent_.size());
+    parent_.push_back(id);
+    stamps_.emplace_back().fill(++clock_);
+    for (const EClassId child : node.children) {
+        classes_[child]->parents.emplace_back(node, id);
+    }
+    classes_.emplace_back().reset(new EClass{{node}, {}});
+    memo_.emplace(std::move(node), id);
+    ++classCount_;
+    ++nodeCount_;
+    cachesStale_ = true;
     return id;
 }
 
@@ -368,144 +113,94 @@ EGraph::addTerm(const TermPtr& term)
 bool
 EGraph::merge(EClassId a, EClassId b)
 {
-    for (;;) {
-        a = findMutable(a);
-        b = findMutable(b);
-        if (a == b) {
-            return false;
-        }
-        // Lock the two class stripes in index order, then re-verify both
-        // ids are still roots; a racing merge loses exactly one of them.
-        const size_t sa = static_cast<size_t>(a) & (kStripeCount - 1);
-        const size_t sb = static_cast<size_t>(b) & (kStripeCount - 1);
-        std::unique_lock<std::mutex> first(stripes_[std::min(sa, sb)]);
-        std::unique_lock<std::mutex> second;
-        if (sa != sb) {
-            second = std::unique_lock<std::mutex>(stripes_[std::max(sa, sb)]);
-        }
-        if (slotRef(a).parent.load(std::memory_order_acquire) != a ||
-            slotRef(b).parent.load(std::memory_order_acquire) != b) {
-            continue;
-        }
-        EClass* winner = slotRef(a).cls.load(std::memory_order_acquire);
-        EClass* loser = slotRef(b).cls.load(std::memory_order_acquire);
-        // Union by (node-count) size: keep the larger class canonical.
-        if (winner->nodes.size() + winner->parents.size() <
-            loser->nodes.size() + loser->parents.size()) {
-            std::swap(a, b);
-            std::swap(winner, loser);
-        }
-        slotRef(b).parent.store(a, std::memory_order_release);
-        winner->nodes.insert(winner->nodes.end(),
-                             std::make_move_iterator(loser->nodes.begin()),
-                             std::make_move_iterator(loser->nodes.end()));
-        winner->parents.insert(
-            winner->parents.end(),
-            std::make_move_iterator(loser->parents.begin()),
-            std::make_move_iterator(loser->parents.end()));
-        // Unlink, then epoch-retire: a reader that resolved b's storage
-        // before the unlink may still be walking it, so the free waits
-        // for a full grace period (support/reclaim.hpp).
-        slotRef(b).cls.store(nullptr, std::memory_order_release);
-        reclaim::retireObject(loser);
-        classCount_.fetch_sub(1, std::memory_order_relaxed);
-        {
-            std::lock_guard<std::mutex> lock(worklistMutex_);
-            worklist_.push_back(a);
-            dirtySeeds_.push_back(a);
-        }
-        version_.fetch_add(1, std::memory_order_relaxed);
-        const uint64_t merged =
-            clock_.fetch_add(1, std::memory_order_relaxed) + 1;
-        for (size_t j = 0; j < kStampDepths; ++j) {
-            slotRef(a).stamps[j].store(merged, std::memory_order_release);
-        }
-        cachesStale_.store(true, std::memory_order_relaxed);
-        return true;
+    a = findMutable(a);
+    b = findMutable(b);
+    if (a == b) {
+        return false;
     }
-}
-
-EGraph::RepairResult
-EGraph::repairProbe(EClassId id)
-{
-    RepairResult result;
-    EClass* data = slotRef(id).cls.load(std::memory_order_acquire);
-    ISAMORE_CHECK(data != nullptr);
-
-    // Repair re-canonicalizes parent nodes, fixes the hashcons, and
-    // collects classes made congruent by the pending unions.  Probes read
-    // the union-find frozen at the round boundary (no merges run until
-    // the serial drain), so every lane computes identical plans at every
-    // thread count.
-    auto parents = std::move(data->parents);
-    data->parents.clear();
-
-    // First-seen dedup of canonical parent nodes; the map carries the
-    // index into freshParents so iteration order never depends on the
-    // hash map's layout.
-    std::unordered_map<ENode, size_t, ENodeHash> fresh;
-    fresh.reserve(parents.size());
-    result.freshParents.reserve(parents.size());
-    for (auto& [pnode, pclass] : parents) {
-        {
-            // Drop the stale key.  Cross-probe interleavings cannot lose
-            // entries: a key another probe freshly inserted is canonical,
-            // and a probe that erases a canonical key always re-inserts
-            // it (with an identical frozen-find value) in the same pass.
-            Shard& shard = shardFor(pnode.hash());
-            std::lock_guard<std::mutex> lock(shard.mutex);
-            shard.map.erase(pnode);
-        }
-        ENode canonical = canonicalize(pnode);
-        const EClassId canonicalClass = find(pclass);
-        auto it = fresh.find(canonical);
-        if (it != fresh.end()) {
-            // Congruent duplicates: defer the union to the serial drain.
-            result.unions.emplace_back(
-                result.freshParents[it->second].second, canonicalClass);
-        } else {
-            fresh.emplace(canonical, result.freshParents.size());
-            result.freshParents.emplace_back(std::move(canonical),
-                                             canonicalClass);
-        }
+    // Union by size: keep the class with more nodes + parents canonical.
+    if (classes_[a]->nodes.size() + classes_[a]->parents.size() <
+        classes_[b]->nodes.size() + classes_[b]->parents.size()) {
+        std::swap(a, b);
     }
-
-    // Deduplicate this class's own nodes after canonicalization.
-    std::unordered_set<uint64_t> hashes;
-    result.uniqueNodes.reserve(data->nodes.size());
-    for (ENode& node : data->nodes) {
-        ENode canonical = canonicalize(node);
-        const uint64_t h = canonical.hash();
-        bool duplicate = false;
-        if (!hashes.insert(h).second) {
-            for (const ENode& existing : result.uniqueNodes) {
-                if (existing == canonical) {
-                    duplicate = true;
-                    break;
-                }
-            }
-        }
-        if (!duplicate) {
-            result.uniqueNodes.push_back(std::move(canonical));
-        }
-    }
-    result.removedNodes = data->nodes.size() - result.uniqueNodes.size();
-    return result;
+    EClass& winner = *classes_[a];
+    EClass& loser = *classes_[b];
+    parent_[b] = a;
+    winner.nodes.insert(winner.nodes.end(),
+                        std::make_move_iterator(loser.nodes.begin()),
+                        std::make_move_iterator(loser.nodes.end()));
+    winner.parents.insert(winner.parents.end(),
+                          std::make_move_iterator(loser.parents.begin()),
+                          std::make_move_iterator(loser.parents.end()));
+    classes_[b].reset();
+    --classCount_;
+    worklist_.push_back(a);
+    dirtySeeds_.push_back(a);
+    ++version_;
+    stamps_[a].fill(++clock_);
+    cachesStale_ = true;
+    return true;
 }
 
 void
-EGraph::repairCommit(EClassId id, RepairResult& result)
+EGraph::repair(EClassId id,
+               std::vector<std::pair<EClassId, EClassId>>& unions)
 {
-    for (const auto& [node, klass] : result.freshParents) {
-        Shard& shard = shardFor(node.hash());
-        std::lock_guard<std::mutex> lock(shard.mutex);
-        shard.map[node] = klass;
+    // Re-canonicalize the parent nodes and fix the hashcons.  Congruent
+    // parents are not merged here: repair reads the union-find as it
+    // stood at the start of the round, and the caller applies the unions
+    // after every class of the round is repaired.
+    EClass& data = *classes_[id];
+    auto parents = std::move(data.parents);
+    data.parents.clear();
+
+    // First-seen dedup of canonical parent nodes; the map carries the
+    // index into freshParents so the order never depends on the hash
+    // map's layout.
+    std::unordered_map<ENode, size_t, ENodeHash> fresh;
+    fresh.reserve(parents.size());
+    std::vector<std::pair<ENode, EClassId>> freshParents;
+    freshParents.reserve(parents.size());
+    for (auto& [pnode, pclass] : parents) {
+        memo_.erase(pnode);
+        ENode canonical = canonicalize(pnode);
+        const EClassId canonicalClass = find(pclass);
+        const auto it = fresh.find(canonical);
+        if (it != fresh.end()) {
+            unions.emplace_back(freshParents[it->second].second,
+                                canonicalClass);
+        } else {
+            fresh.emplace(canonical, freshParents.size());
+            freshParents.emplace_back(std::move(canonical), canonicalClass);
+        }
     }
-    EClass* data = slotRef(id).cls.load(std::memory_order_acquire);
-    data->parents = std::move(result.freshParents);
-    data->nodes = std::move(result.uniqueNodes);
-    if (result.removedNodes != 0) {
-        nodeCount_.fetch_sub(result.removedNodes, std::memory_order_relaxed);
+    for (const auto& [node, klass] : freshParents) {
+        memo_[node] = klass;
+    }
+    data.parents = std::move(freshParents);
+
+    // Deduplicate this class's own nodes after canonicalization.
+    std::unordered_set<uint64_t> hashes;
+    std::vector<ENode> uniqueNodes;
+    uniqueNodes.reserve(data.nodes.size());
+    for (const ENode& node : data.nodes) {
+        ENode canonical = canonicalize(node);
+        const uint64_t h = canonical.hash();
+        if (!hashes.insert(h).second &&
+            std::find(uniqueNodes.begin(), uniqueNodes.end(), canonical) !=
+                uniqueNodes.end()) {
+            continue;
+        }
+        uniqueNodes.push_back(std::move(canonical));
+    }
+    const size_t removed = data.nodes.size() - uniqueNodes.size();
+    data.nodes = std::move(uniqueNodes);
+    if (removed != 0) {
+        // Collapsing duplicates changed the class's own node list, which
+        // is match-visible at distance 0 exactly like a merge append, so
+        // it seeds the dirty propagation (merges seed themselves).
+        nodeCount_ -= removed;
+        dirtySeeds_.push_back(id);
     }
 }
 
@@ -519,22 +214,14 @@ EGraph::rebuild()
     };
     RebuildStats stats;
     std::vector<RoundRecord> rounds;
-    ThreadPool& pool = globalPool();
 
-    for (;;) {
+    while (!worklist_.empty()) {
         std::vector<EClassId> todo;
-        {
-            std::lock_guard<std::mutex> lock(worklistMutex_);
-            todo.swap(worklist_);
-        }
-        if (todo.empty()) {
-            break;
-        }
+        todo.swap(worklist_);
         ++stats.rounds;
 
-        // Stable-dedup to canonical ids.  The worklist order is the
-        // (serial, deterministic) merge order, so first-occurrence order
-        // is deterministic too.
+        // Stable-dedup to canonical ids, in first-occurrence (merge)
+        // order.
         std::vector<EClassId> classes;
         classes.reserve(todo.size());
         {
@@ -548,44 +235,17 @@ EGraph::rebuild()
             }
         }
 
-        // Parallel repair: each probe owns one dirty class, reads the
-        // frozen union-find, and publishes its class's fresh parent list
-        // and memo entries.  Discovered congruences are deferred.
-        std::vector<RepairResult> results(classes.size());
-        auto repairOne = [&](size_t i) {
-            results[i] = repairProbe(classes[i]);
-            repairCommit(classes[i], results[i]);
-        };
-        if (pool.threadCount() > 1 && classes.size() > 1) {
-            pool.parallelFor(classes.size(), repairOne);
-        } else {
-            for (size_t i = 0; i < classes.size(); ++i) {
-                repairOne(i);
-            }
+        // Repair every class of the round, then apply the congruences
+        // found in (class, discovery) order; their merges refill the
+        // worklist for the next round.
+        std::vector<std::pair<EClassId, EClassId>> found;
+        for (EClassId id : classes) {
+            repair(id, found);
         }
-
-        // A repair that collapsed duplicate nodes changed the class's own
-        // node list — match-visible at distance 0, exactly like a merge
-        // append — so it seeds the dirty propagation at depth 0 (merges
-        // seed themselves in merge()).
-        {
-            std::lock_guard<std::mutex> lock(worklistMutex_);
-            for (size_t i = 0; i < classes.size(); ++i) {
-                if (results[i].removedNodes != 0) {
-                    dirtySeeds_.push_back(classes[i]);
-                }
-            }
-        }
-
-        // Serial merge-frontier drain in (class order, discovery order):
-        // union winners depend only on class sizes, so every thread
-        // count applies the same unions with the same outcomes.
         size_t unions = 0;
-        for (RepairResult& result : results) {
-            for (const auto& [x, y] : result.unions) {
-                if (merge(x, y)) {
-                    ++unions;
-                }
+        for (const auto& [x, y] : found) {
+            if (merge(x, y)) {
+                ++unions;
             }
         }
         stats.repaired += classes.size();
@@ -594,22 +254,15 @@ EGraph::rebuild()
             rounds.push_back({todo.size(), classes.size(), unions});
         }
     }
-    // Each drained union retires exactly one loser class to the limbo.
-    stats.retired = stats.unions;
 
     propagateDirty();
     // Snapshot canonical ids into every link: post-rebuild find() is a
     // single load until the next merge.
     compressPaths();
-    if (cachesStale_.load(std::memory_order_relaxed)) {
+    if (cachesStale_) {
         refreshCaches();
     }
     lastRebuild_ = stats;
-
-    // The caller holds no references into retired storage here, and the
-    // pool quiesced when its last job drained: collect what has expired.
-    reclaim::quiescent();
-    reclaim::tryReclaim();
 
     if (telemetry::enabled()) {
         auto& registry = telemetry::Registry::instance();
@@ -622,8 +275,6 @@ EGraph::rebuild()
                     ", \"repaired\": " + std::to_string(record.repaired) +
                     ", \"unions\": " + std::to_string(record.unions) + "}");
         }
-        registry.gauge("egraph.reclaim_deferred")
-            .set(static_cast<int64_t>(reclaim::deferredCount()));
     }
 }
 
@@ -648,19 +299,18 @@ EGraph::propagateDirty()
     // below it, even though the unbounded bucket is dirty.  Multi-source
     // BFS visits each class at its minimal distance first, which is
     // exactly the bucket boundary the skip proof needs.
-    const uint64_t now = clock_.fetch_add(1, std::memory_order_relaxed) + 1;
+    const uint64_t now = ++clock_;
     std::vector<EClassId> frontier;
     std::vector<EClassId> next;
     frontier.reserve(dirtySeeds_.size());
     auto visit = [&](EClassId c, size_t dist, std::vector<EClassId>& out) {
-        Slot& slot = slotRef(c);
-        if (slot.stamps[kStampDepths - 1].load(std::memory_order_relaxed) ==
-            now) {
+        Stamps& stamps = stamps_[c];
+        if (stamps[kStampDepths - 1] == now) {
             return;  // already reached at a smaller or equal distance
         }
         for (size_t j = std::min(dist, kStampDepths - 1); j < kStampDepths;
              ++j) {
-            slot.stamps[j].store(now, std::memory_order_relaxed);
+            stamps[j] = now;
         }
         out.push_back(c);
     };
@@ -671,9 +321,7 @@ EGraph::propagateDirty()
     for (size_t dist = 1; !frontier.empty(); ++dist) {
         next.clear();
         for (EClassId c : frontier) {
-            const EClass* data =
-                slotRef(c).cls.load(std::memory_order_relaxed);
-            for (const auto& [pnode, pclass] : data->parents) {
+            for (const auto& [pnode, pclass] : classes_[c]->parents) {
                 visit(findMutable(pclass), dist, next);
             }
         }
@@ -684,41 +332,26 @@ EGraph::propagateDirty()
 void
 EGraph::compressPaths()
 {
-    const uint32_t ids = idCount_.load(std::memory_order_relaxed);
-    for (uint32_t id = 0; id < ids; ++id) {
-        Slot& slot = slotRef(id);
-        const EClassId parent = slot.parent.load(std::memory_order_relaxed);
-        if (parent != id) {
-            slot.parent.store(findMutable(parent),
-                              std::memory_order_relaxed);
-        }
+    for (EClassId& parent : parent_) {
+        parent = findMutable(parent);
     }
 }
 
 const EClass&
 EGraph::cls(EClassId id) const
 {
-    const EClass* data = slotRef(id).cls.load(std::memory_order_acquire);
-    ISAMORE_CHECK_MSG(data != nullptr,
+    ISAMORE_CHECK_MSG(id < classes_.size() && classes_[id] != nullptr,
                       "cls() requires a canonical id; call find() first");
-    return *data;
-}
-
-bool
-EGraph::needsRebuild() const
-{
-    std::lock_guard<std::mutex> lock(worklistMutex_);
-    return !worklist_.empty();
+    return *classes_[id];
 }
 
 void
 EGraph::refreshCaches() const
 {
-    const uint32_t ids = idCount_.load(std::memory_order_acquire);
     classIdsCache_.clear();
-    classIdsCache_.reserve(classCount_.load(std::memory_order_relaxed));
-    for (uint32_t id = 0; id < ids; ++id) {
-        if (slotRef(id).cls.load(std::memory_order_relaxed) != nullptr) {
+    classIdsCache_.reserve(classCount_);
+    for (EClassId id = 0; id < classes_.size(); ++id) {
+        if (classes_[id] != nullptr) {
             classIdsCache_.push_back(id);
         }
     }
@@ -734,13 +367,8 @@ EGraph::refreshCaches() const
         // exact.
         uint64_t emitted = 0;  // bitset over ops (kNumOps < 64)
         static_assert(kNumOps <= 64);
-        const Slot& slot = slotRef(id);
-        uint64_t stamps[kStampDepths];
-        for (size_t j = 0; j < kStampDepths; ++j) {
-            stamps[j] = slot.stamps[j].load(std::memory_order_relaxed);
-        }
-        const EClass* data = slot.cls.load(std::memory_order_relaxed);
-        for (const ENode& node : data->nodes) {
+        const Stamps& stamps = stamps_[id];
+        for (const ENode& node : classes_[id]->nodes) {
             const uint64_t bit = uint64_t{1} << static_cast<size_t>(node.op);
             if ((emitted & bit) == 0) {
                 emitted |= bit;
@@ -753,13 +381,13 @@ EGraph::refreshCaches() const
             }
         }
     }
-    cachesStale_.store(false, std::memory_order_release);
+    cachesStale_ = false;
 }
 
 const std::vector<EClassId>&
 EGraph::classIds() const
 {
-    if (cachesStale_.load(std::memory_order_acquire)) {
+    if (cachesStale_) {
         refreshCaches();
     }
     return classIdsCache_;
@@ -768,7 +396,7 @@ EGraph::classIds() const
 const std::vector<EClassId>&
 EGraph::classesWithOp(Op op) const
 {
-    if (cachesStale_.load(std::memory_order_acquire)) {
+    if (cachesStale_) {
         refreshCaches();
     }
     return opIndex_[static_cast<size_t>(op)];
@@ -777,7 +405,7 @@ EGraph::classesWithOp(Op op) const
 uint64_t
 EGraph::maxStampWithOp(Op op, size_t depth) const
 {
-    if (cachesStale_.load(std::memory_order_acquire)) {
+    if (cachesStale_) {
         refreshCaches();
     }
     return opStampCache_[static_cast<size_t>(op) * kStampDepths +
@@ -787,16 +415,13 @@ EGraph::maxStampWithOp(Op op, size_t depth) const
 uint64_t
 EGraph::classStamp(EClassId id) const
 {
-    return slotRef(id).stamps[kStampDepths - 1].load(
-        std::memory_order_acquire);
+    return stamps_[id][kStampDepths - 1];
 }
 
 uint64_t
 EGraph::classStampAtDepth(EClassId id, size_t depth) const
 {
-    return slotRef(id)
-        .stamps[std::min(depth, kStampDepths - 1)]
-        .load(std::memory_order_acquire);
+    return stamps_[id][std::min(depth, kStampDepths - 1)];
 }
 
 std::vector<EClassId>
@@ -804,136 +429,11 @@ EGraph::classesDirtySince(uint64_t version) const
 {
     std::vector<EClassId> out;
     for (EClassId id : classIds()) {
-        if (slotRef(id).stamps[kStampDepths - 1].load(
-                std::memory_order_relaxed) > version) {
+        if (stamps_[id][kStampDepths - 1] > version) {
             out.push_back(id);
         }
     }
     return out;
-}
-
-EGraphSnapshot
-EGraph::exportSnapshot() const
-{
-    ISAMORE_CHECK_MSG(!needsRebuild(),
-                      "exportSnapshot requires a rebuilt graph");
-    EGraphSnapshot snap;
-    snap.clock = clock_.load(std::memory_order_relaxed);
-    snap.version = version_.load(std::memory_order_relaxed);
-    const uint32_t ids = idCount_.load(std::memory_order_acquire);
-    snap.numIds = ids;
-    snap.unionFind.reserve(ids);
-    snap.stamps.reserve(static_cast<size_t>(ids) * kStampDepths);
-    for (uint32_t id = 0; id < ids; ++id) {
-        const Slot& slot = slotRef(id);
-        snap.unionFind.push_back(find(id));
-        for (size_t j = 0; j < kStampDepths; ++j) {
-            snap.stamps.push_back(
-                slot.stamps[j].load(std::memory_order_relaxed));
-        }
-    }
-    for (uint32_t id = 0; id < ids; ++id) {
-        const EClass* data = slotRef(id).cls.load(std::memory_order_acquire);
-        if (data == nullptr) {
-            continue;
-        }
-        EGraphSnapshot::ClassImage image;
-        image.id = id;
-        image.nodes = data->nodes;
-        image.parents = data->parents;
-        snap.classes.push_back(std::move(image));
-    }
-    return snap;
-}
-
-void
-EGraph::restoreSnapshot(const EGraphSnapshot& snapshot)
-{
-    // Validate the whole image before touching any state, so a rejected
-    // snapshot leaves this graph exactly as it was.
-    const uint32_t ids = snapshot.numIds;
-    ISAMORE_USER_CHECK(
-        snapshot.unionFind.size() == ids,
-        "e-graph snapshot: union-find entry count does not match numIds");
-    ISAMORE_USER_CHECK(
-        snapshot.stamps.size() == static_cast<size_t>(ids) * kStampDepths,
-        "e-graph snapshot: stamp count does not match numIds");
-    for (uint32_t id = 0; id < ids; ++id) {
-        ISAMORE_USER_CHECK(snapshot.unionFind[id] < ids,
-                           "e-graph snapshot: union-find link out of range");
-    }
-    const auto checkNode = [&](const ENode& node) {
-        for (const EClassId child : node.children) {
-            ISAMORE_USER_CHECK(child < ids,
-                               "e-graph snapshot: node child out of range");
-        }
-    };
-    EClassId lastId = 0;
-    bool first = true;
-    for (const EGraphSnapshot::ClassImage& image : snapshot.classes) {
-        ISAMORE_USER_CHECK(image.id < ids,
-                           "e-graph snapshot: class id out of range");
-        ISAMORE_USER_CHECK(
-            first || image.id > lastId,
-            "e-graph snapshot: class images out of order or duplicated");
-        first = false;
-        lastId = image.id;
-        ISAMORE_USER_CHECK(
-            snapshot.unionFind[image.id] == image.id,
-            "e-graph snapshot: class image for a non-canonical id");
-        for (const ENode& node : image.nodes) {
-            checkNode(node);
-        }
-        for (const auto& [pnode, pclass] : image.parents) {
-            checkNode(pnode);
-            ISAMORE_USER_CHECK(
-                pclass < ids,
-                "e-graph snapshot: parent class out of range");
-        }
-    }
-
-    releaseStorage();
-    for (size_t s = 0; s < kShardCount; ++s) {
-        shards_[s].map.clear();
-    }
-    {
-        std::lock_guard<std::mutex> lock(worklistMutex_);
-        worklist_.clear();
-    }
-    dirtySeeds_.clear();
-    cachesStale_.store(true, std::memory_order_relaxed);
-    idCount_.store(ids, std::memory_order_release);
-
-    for (uint32_t id = 0; id < ids; ++id) {
-        ensureSlot(id);
-        Slot& slot = slotRef(id);
-        slot.parent.store(snapshot.unionFind[id], std::memory_order_relaxed);
-        for (size_t j = 0; j < kStampDepths; ++j) {
-            slot.stamps[j].store(
-                snapshot.stamps[static_cast<size_t>(id) * kStampDepths + j],
-                std::memory_order_relaxed);
-        }
-        slot.cls.store(nullptr, std::memory_order_relaxed);
-    }
-
-    size_t classCount = 0;
-    size_t nodeCount = 0;
-    for (const EGraphSnapshot::ClassImage& image : snapshot.classes) {
-        EClass* data = new EClass();
-        data->nodes = image.nodes;
-        data->parents = image.parents;
-        slotRef(image.id).cls.store(data, std::memory_order_release);
-        for (const ENode& node : data->nodes) {
-            shardFor(node.hash()).map.emplace(node, image.id);
-        }
-        ++classCount;
-        nodeCount += data->nodes.size();
-    }
-    classCount_.store(classCount, std::memory_order_relaxed);
-    nodeCount_.store(nodeCount, std::memory_order_relaxed);
-    version_.store(snapshot.version, std::memory_order_relaxed);
-    clock_.store(snapshot.clock, std::memory_order_relaxed);
-    lastRebuild_ = RebuildStats{};
 }
 
 }  // namespace isamore

@@ -1,16 +1,16 @@
 #include "egraph/rewrite.hpp"
 
 #include <algorithm>
+#include <atomic>
+#include <exception>
 #include <new>
 
 #include <sstream>
 
 #include "egraph/ematch_program.hpp"
-#include "egraph/parallel_apply.hpp"
 #include "egraph/scheduler.hpp"
 #include "support/check.hpp"
 #include "support/fault.hpp"
-#include "support/pool.hpp"
 #include "support/stopwatch.hpp"
 #include "support/telemetry.hpp"
 
@@ -202,13 +202,10 @@ runEqSat(EGraph& egraph, const std::vector<RewriteRule>& rules,
         // feed the pipeline report, not just telemetry.
         std::vector<RuleTotals> iterTotals(rules.size());
 
-        // Phase 1: search all rules against the current (stable) e-graph.
-        // The e-graph is frozen between rebuilds (egg's deferred-rebuild
-        // design), so matching is a pure read-only fan-out: each eligible
-        // rule's ematchAll runs as one pool task, and the order-sensitive
-        // bookkeeping (fault sites, bans, guards, the early break) is
-        // replayed serially in rule order afterwards so the run is
-        // observably identical to the serial one for any thread count.
+        // Phase 1: search every eligible rule, in rule order, against the
+        // current e-graph.  The graph does not change until the apply
+        // phase (egg's deferred-rebuild design), so every rule sees the
+        // same graph.
         struct PendingUnion {
             const RewriteRule* rule;
             EMatch match;
@@ -221,130 +218,106 @@ runEqSat(EGraph& egraph, const std::vector<RewriteRule>& rules,
         std::vector<PendingUnion> pending;
         bool any_banned = false;
 
-        struct RuleSearch {
-            size_t ruleIndex = 0;
-            size_t cap = 0;
-            bool replay = false;  ///< synthesized from the cached total
-            SearchResult result;
-            std::exception_ptr error;
-        };
-        std::vector<RuleSearch> searches;
-        searches.reserve(rules.size());
-        for (size_t r = 0; r < rules.size(); ++r) {
-            if (sched.actions[r] == Scheduler::Action::Deselect) {
-                continue;  // outside the current strategy phase
-            }
-            if (sched.useBackoff && iter < backoff[r].bannedUntil) {
-                any_banned = true;
-                continue;
-            }
-            // With backoff, the per-rule cap doubles with every ban (as
-            // in egg), so a once-explosive rule eventually fits its
-            // budget and resumes; search one past the cap to detect
-            // overflow.
-            RuleSearch search;
-            search.ruleIndex = r;
-            search.cap = sched.useBackoff
-                             ? sched.matchCap << backoff[r].timesBanned
-                             : sched.matchCap;
-            if (sched.actions[r] == Scheduler::Action::Replay) {
-                // The scheduler proved this search returns no fresh
-                // matches: synthesize exactly the result an incremental
-                // search over all-clean candidates would produce.  The
-                // entry stays in the list so the consume loop's fault
-                // polls, totals, and virtual-apply accounting are those
-                // of a run that searched.
-                search.replay = true;
-                search.result.totalCount = sched.replayTotals[r];
-                search.result.cachedAfter = sched.replayTotals[r];
-            }
-            searches.push_back(std::move(search));
-        }
-
         Stopwatch searchWatch;
-        {
-            TELEM_SPAN("eqsat.search", "eqsat");
-            globalPool().parallelFor(searches.size(), [&](size_t i) {
-                RuleSearch& search = searches[i];
-                if (search.replay) {
-                    return;
-                }
-                const size_t r = search.ruleIndex;
-                IncrementalSearchState* state =
-                    (limits.incrementalSearch && !rules[r].guard)
-                        ? &searchStates[r]
-                        : nullptr;
-                try {
-                    search.result = searchPattern(
-                        egraph, programs[r],
-                        sched.useBackoff ? search.cap + 1 : search.cap,
-                        state);
-                } catch (...) {
-                    search.error = std::current_exception();
-                }
-            });
-        }
-
         // Cached matches trailing a rule's last emitted one roll forward
         // to the next pending entry (or to the end of the apply loop).
         size_t virtual_carry = 0;
-        for (RuleSearch& search : searches) {
-            const RewriteRule& rule = rules[search.ruleIndex];
-            try {
-                // Inside the catch scope so throwing fault kinds degrade
-                // to a skipped rule instead of escaping the run.
-                if (fault::tripped("eqsat.search")) {
-                    out_of_time = true;
+        {
+            TELEM_SPAN("eqsat.search", "eqsat");
+            for (size_t r = 0; r < rules.size(); ++r) {
+                if (sched.actions[r] == Scheduler::Action::Deselect) {
+                    continue;  // outside the current strategy phase
                 }
-                if (search.error) {
-                    std::rethrow_exception(search.error);
-                }
-                // totalCount includes the cached contribution of classes
-                // the incremental search skipped, so the overflow check
-                // is exactly the full search's match-list-size check.
-                iterTotals[search.ruleIndex].matches +=
-                    search.result.totalCount;
-                if (sched.useBackoff &&
-                    search.result.totalCount > search.cap) {
-                    // Ban for an exponentially growing span and skip.
-                    const size_t r = search.ruleIndex;
-                    backoff[r].bannedUntil =
-                        iter + (size_t{1} << ++backoff[r].timesBanned);
-                    ++stats.rulesBanned;
-                    ++iterTotals[r].bans;
+                if (sched.useBackoff && iter < backoff[r].bannedUntil) {
                     any_banned = true;
-                    scheduler.observeBan(r);
                     continue;
                 }
-                if (!search.replay) {
-                    scheduler.observeSearch(search.ruleIndex,
-                                            search.result);
+                const RewriteRule& rule = rules[r];
+                // With backoff, the per-rule cap doubles with every ban (as
+                // in egg), so a once-explosive rule eventually fits its
+                // budget and resumes; search one past the cap to detect
+                // overflow.
+                const size_t cap =
+                    sched.useBackoff
+                        ? sched.matchCap << backoff[r].timesBanned
+                        : sched.matchCap;
+                // A replayed search is one the scheduler proved returns
+                // no fresh matches: synthesize exactly the result an
+                // incremental search over all-clean candidates would
+                // produce, so the fault polls, totals, and virtual-apply
+                // accounting below are those of a run that searched.
+                const bool replay =
+                    sched.actions[r] == Scheduler::Action::Replay;
+                SearchResult result;
+                std::exception_ptr error;
+                if (replay) {
+                    result.totalCount = sched.replayTotals[r];
+                    result.cachedAfter = sched.replayTotals[r];
+                } else {
+                    IncrementalSearchState* state =
+                        (limits.incrementalSearch && !rule.guard)
+                            ? &searchStates[r]
+                            : nullptr;
+                    try {
+                        result = searchPattern(
+                            egraph, programs[r],
+                            sched.useBackoff ? cap + 1 : cap, state);
+                    } catch (...) {
+                        error = std::current_exception();
+                    }
                 }
-                std::vector<EMatch>& matches = search.result.matches;
-                iterTotals[search.ruleIndex].cacheSkips +=
-                    search.result.totalCount - matches.size();
-                for (size_t j = 0; j < matches.size(); ++j) {
-                    virtual_carry += search.result.cachedBefore[j];
-                    if (rule.guard && !rule.guard(egraph, matches[j])) {
+                try {
+                    // Inside the catch scope so throwing fault kinds degrade
+                    // to a skipped rule instead of escaping the run.
+                    if (fault::tripped("eqsat.search")) {
+                        out_of_time = true;
+                    }
+                    if (error) {
+                        std::rethrow_exception(error);
+                    }
+                    // totalCount includes the cached contribution of classes
+                    // the incremental search skipped, so the overflow check
+                    // is exactly the full search's match-list-size check.
+                    iterTotals[r].matches += result.totalCount;
+                    if (sched.useBackoff && result.totalCount > cap) {
+                        // Ban for an exponentially growing span and skip.
+                        backoff[r].bannedUntil =
+                            iter + (size_t{1} << ++backoff[r].timesBanned);
+                        ++stats.rulesBanned;
+                        ++iterTotals[r].bans;
+                        any_banned = true;
+                        scheduler.observeBan(r);
                         continue;
                     }
-                    pending.push_back(PendingUnion{
-                        &rule, std::move(matches[j]),
-                        static_cast<uint32_t>(virtual_carry)});
-                    virtual_carry = 0;
+                    if (!replay) {
+                        scheduler.observeSearch(r, result);
+                    }
+                    std::vector<EMatch>& matches = result.matches;
+                    iterTotals[r].cacheSkips +=
+                        result.totalCount - matches.size();
+                    for (size_t j = 0; j < matches.size(); ++j) {
+                        virtual_carry += result.cachedBefore[j];
+                        if (rule.guard && !rule.guard(egraph, matches[j])) {
+                            continue;
+                        }
+                        pending.push_back(PendingUnion{
+                            &rule, std::move(matches[j]),
+                            static_cast<uint32_t>(virtual_carry)});
+                        virtual_carry = 0;
+                    }
+                    virtual_carry += result.cachedAfter;
+                } catch (const InternalError&) {
+                    ++skipped_this_iter;
+                    scheduler.observeError(r);
+                    continue;
+                } catch (const std::bad_alloc&) {
+                    ++skipped_this_iter;
+                    scheduler.observeError(r);
+                    continue;
                 }
-                virtual_carry += search.result.cachedAfter;
-            } catch (const InternalError&) {
-                ++skipped_this_iter;
-                scheduler.observeError(search.ruleIndex);
-                continue;
-            } catch (const std::bad_alloc&) {
-                ++skipped_this_iter;
-                scheduler.observeError(search.ruleIndex);
-                continue;
-            }
-            if (out_of_time || poll_budget()) {
-                break;
+                if (out_of_time || poll_budget()) {
+                    break;
+                }
             }
         }
         stats.searchSeconds += searchWatch.seconds();
@@ -382,27 +355,9 @@ runEqSat(EGraph& egraph, const std::vector<RewriteRule>& rules,
             return false;
         };
         Stopwatch applyWatch;
-        // Plan the RHS instantiations in parallel against the frozen
-        // graph: all the hashing and hashcons probing happens here, one
-        // pool task per pending match, while the mutations below stay in
-        // deterministic (rule, match-index) order.  Skipped when a limit
-        // already tripped — the loop below exits within one poll window,
-        // so eager planning would be wasted work.
-        std::vector<ApplyPlan> plans;
-        const bool planned =
-            !pending.empty() && !out_of_time && !out_of_units;
-        if (planned) {
-            TELEM_SPAN("eqsat.plan", "eqsat");
-            plans.resize(pending.size());
-            globalPool().parallelFor(pending.size(), [&](size_t i) {
-                plans[i] = planInstantiation(egraph, pending[i].rule->rhs,
-                                             pending[i].match.subst);
-            });
-        }
         {
             TELEM_SPAN("eqsat.apply", "eqsat");
-            for (size_t pi = 0; pi < pending.size(); ++pi) {
-                const PendingUnion& p = pending[pi];
+            for (const PendingUnion& p : pending) {
                 if (advance_virtual(p.virtualBefore)) {
                     break;
                 }
@@ -411,10 +366,8 @@ runEqSat(EGraph& egraph, const std::vector<RewriteRule>& rules,
                     break;
                 }
                 try {
-                    EClassId rhs_class =
-                        planned ? commitPlan(egraph, plans[pi])
-                                : instantiate(egraph, p.rule->rhs,
-                                              p.match.subst);
+                    const EClassId rhs_class =
+                        instantiate(egraph, p.rule->rhs, p.match.subst);
                     if (egraph.merge(p.match.root, rhs_class)) {
                         ++stats.applications;
                         ++iterTotals[static_cast<size_t>(p.rule -

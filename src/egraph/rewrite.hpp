@@ -135,7 +135,7 @@ struct EqSatStats {
     /** Wall-clock per phase, summed over iterations (bench/telemetry
      *  only — never surfaced in deterministic pipeline output). */
     double searchSeconds = 0.0;
-    double applySeconds = 0.0;   ///< planning + deterministic commit
+    double applySeconds = 0.0;   ///< RHS instantiation + merges
     double rebuildSeconds = 0.0; ///< congruence repair fixpoints
     /** Adaptive-scheduler activity, summed over iterations.  Like the
      *  phase clocks these never reach deterministic pipeline output

@@ -354,7 +354,6 @@ corpusStatusJson(const SharedState& state)
        << ", \"patterns\": " << corpus->librarySize()
        << ", \"chunks\": " << corpus->chunkCount()
        << ", \"results\": " << corpus->resultCount()
-       << ", \"egraphs\": " << corpus->egraphCount()
        << "}, \"hits\": " << registry.counter("corpus.hits").value()
        << ", \"misses\": " << registry.counter("corpus.misses").value()
        << ", \"crossHits\": "

@@ -148,7 +148,7 @@ class Budget {
     Clock::time_point deadline_{};
     size_t maxUnits_ = kUnlimitedAmount;
     // charge() and expired() may be called concurrently from pool workers
-    // (the AU shards and EqSat's match fan-out all charge one run budget),
+    // (the AU shards and the serial EqSat loop all charge one run budget),
     // so the mutable state is a fetch_add counter plus a CAS-once latch.
     std::atomic<size_t> usedUnits_{0};
     size_t maxRssBytes_ = kUnlimitedAmount;

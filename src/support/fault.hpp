@@ -52,9 +52,10 @@ struct FaultArm {
 
 /**
  * Process-wide fault registry.  Thread-safe: sites are visited from pool
- * workers (the parallel AU sweep and EqSat match fan-out poll sites
- * concurrently), so the site map is mutex-guarded, hit counters are
- * atomic, and the enabled flag read by the fast path is a relaxed load.
+ * workers (the parallel AU sweep polls sites concurrently, and daemon
+ * lanes run whole pipelines side by side), so the site map is
+ * mutex-guarded, hit counters are atomic, and the enabled flag read by
+ * the fast path is a relaxed load.
  * Hit indices stay deterministic for serial visit orders; concurrent
  * visits to the *same* site race only for which visit gets which index,
  * never for whether exactly one visit fires a `@N` fault.

@@ -5,7 +5,6 @@
 #include <memory>
 
 #include "support/check.hpp"
-#include "support/reclaim.hpp"
 #include "support/telemetry.hpp"
 
 namespace isamore {
@@ -109,11 +108,6 @@ ThreadPool::runLane(size_t lane)
     size_t index;
     LaneCounters& counters = counters_[lane];
     while (true) {
-        // Task boundaries are the pool's quiescent points: a lane holds
-        // no references into epoch-protected structures between bodies,
-        // which is what lets the e-graph retire storage mid-job and
-        // reclaim it once every lane has moved on (see support/reclaim).
-        reclaim::quiescent();
         if (popOwn(deques_[lane], index)) {
             counters.tasks.fetch_add(1, std::memory_order_relaxed);
             execute(index);
@@ -181,7 +175,6 @@ ThreadPool::parallelFor(size_t n, const std::function<void(size_t)>& body)
             body(i);
         }
         counters_[0].tasks.fetch_add(n, std::memory_order_relaxed);
-        reclaim::quiescent();
         return;
     }
 

@@ -1,8 +1,7 @@
 /**
  * @file
  * A shared work-stealing thread pool for the embarrassingly parallel
- * phases of the pipeline (EqSat's read-only match fan-out, the AU pair
- * sweep, the bench harness).
+ * phases of the pipeline (the AU pair sweep, the bench harness).
  *
  * Each lane (the calling thread plus N-1 persistent workers) owns a
  * Chase--Lev-style deque of task indices: the owner pushes and pops at
@@ -15,8 +14,8 @@
  * Determinism contract: parallelFor(n, body) invokes body(i) exactly once
  * for every i in [0, n), in an unspecified order and from unspecified
  * threads.  Callers that need deterministic output must make each body(i)
- * independent and merge results by index afterwards (see rii/au.cpp and
- * egraph/rewrite.cpp).  Results then do not depend on the thread count.
+ * independent and merge results by index afterwards (see rii/au.cpp).
+ * Results then do not depend on the thread count.
  *
  * Thread-count resolution: the process-global pool is sized from, in
  * priority order, setGlobalThreads() (the CLI's --threads flag), the

@@ -2,8 +2,7 @@
  * @file
  * Persistent-corpus tests: serialization primitives, frame validation,
  * per-section round-trips, corruption rejection (whole-file refusal with
- * no partial loads), e-graph snapshot round-trips, seeded fuzz
- * round-trips, and the warm-start determinism contract -- a warm run
+ * no partial loads), seeded fuzz round-trips, and the warm-start determinism contract -- a warm run
  * byte-identical to the cold run it replaces at 1, 2, and 4 threads.
  */
 #include <gtest/gtest.h>
@@ -19,7 +18,6 @@
 #include "corpus/format.hpp"
 #include "corpus/warm.hpp"
 #include "dsl/intern.hpp"
-#include "egraph/rewrite.hpp"
 #include "isamore/isamore.hpp"
 #include "isamore/report.hpp"
 #include "rules/rulesets.hpp"
@@ -234,44 +232,6 @@ TEST(Corpus, CorruptFileRefusedWithoutPartialState)
     std::remove(path.c_str());
 }
 
-EGraphSnapshot
-buildRandomSnapshot(uint64_t seed)
-{
-    Rng rng(seed);
-    EGraph g;
-    for (int i = 0; i < 6; ++i) {
-        TermPtr t = lit(static_cast<int64_t>(rng.below(4)));
-        for (int d = 0; d < 3; ++d) {
-            static const Op ops[] = {Op::Add, Op::Sub, Op::Mul, Op::And};
-            t = makeTerm(ops[rng.below(std::size(ops))],
-                         {t, arg(0, static_cast<int64_t>(rng.below(4)))});
-        }
-        g.addTerm(t);
-    }
-    static const auto sat = rules::defaultLibrary().intSat();
-    EqSatLimits limits;
-    limits.maxIterations = 3;
-    limits.maxNodes = 2000;
-    runEqSat(g, sat, limits);
-    return g.exportSnapshot();
-}
-
-void
-expectSnapshotsEqual(const EGraphSnapshot& a, const EGraphSnapshot& b)
-{
-    EXPECT_EQ(a.clock, b.clock);
-    EXPECT_EQ(a.version, b.version);
-    EXPECT_EQ(a.numIds, b.numIds);
-    EXPECT_EQ(a.unionFind, b.unionFind);
-    EXPECT_EQ(a.stamps, b.stamps);
-    ASSERT_EQ(a.classes.size(), b.classes.size());
-    for (size_t i = 0; i < a.classes.size(); ++i) {
-        EXPECT_EQ(a.classes[i].id, b.classes[i].id);
-        EXPECT_EQ(a.classes[i].nodes, b.classes[i].nodes);
-        EXPECT_EQ(a.classes[i].parents, b.classes[i].parents);
-    }
-}
-
 class CorpusFuzz : public ::testing::TestWithParam<int> {};
 
 TEST_P(CorpusFuzz, RandomStateSurvivesSaveLoadByteExact)
@@ -297,8 +257,6 @@ TEST_P(CorpusFuzz, RandomStateSurvivesSaveLoadByteExact)
     }
     out.recordMined("fuzz_a", bodies);
     out.recordStrategy("fuzz_a", *builtinStrategy("trim"));
-    const EGraphSnapshot snapshot = buildRandomSnapshot(seed * 33 + 1);
-    out.storeEGraph("g", snapshot);
     out.save(path, rules);
 
     Corpus in;
@@ -310,15 +268,6 @@ TEST_P(CorpusFuzz, RandomStateSurvivesSaveLoadByteExact)
     for (size_t i = 0; i < mine.size(); ++i) {
         EXPECT_TRUE(termEqualsDeep(mine[i], theirs[i]));
     }
-    const EGraphSnapshot* loaded = in.findEGraph("g");
-    ASSERT_NE(loaded, nullptr);
-    expectSnapshotsEqual(*loaded, snapshot);
-
-    // Restoring the loaded snapshot reproduces an observationally
-    // identical graph: its own export matches the original image.
-    EGraph g;
-    g.restoreSnapshot(*loaded);
-    expectSnapshotsEqual(g.exportSnapshot(), snapshot);
 
     // A second save of the loaded state is byte-identical: the format
     // is canonical, so save/load/save is a fixpoint.

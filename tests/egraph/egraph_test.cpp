@@ -2,6 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "egraph/dump.hpp"
+#include "support/pool.hpp"
+#include "support/rng.hpp"
+
 namespace isamore {
 namespace {
 
@@ -159,6 +166,80 @@ TEST(EGraphTest, DiamondCongruence)
     g.merge(a, b);
     g.rebuild();
     EXPECT_EQ(g.find(ra), g.find(rb));
+}
+
+/** Everything a reader can ask a rebuilt graph, gathered in one pass. */
+struct GraphReads {
+    std::vector<EClassId> finds;        ///< find() of every id
+    std::vector<EClassId> classIds;
+    std::vector<std::vector<ENode>> nodes;  ///< canonicalize() of cls()
+    std::vector<EClassId> lookups;      ///< lookup() of every class node
+    std::vector<uint64_t> stamps;       ///< classStamp() per class
+    std::vector<std::vector<EClassId>> withOp;  ///< classesWithOp() per op
+    std::string copyDump;               ///< dumpText() of a copy
+
+    bool operator==(const GraphReads&) const = default;
+};
+
+GraphReads
+readAll(const EGraph& g)
+{
+    GraphReads out;
+    for (EClassId id = 0; id < g.numIds(); ++id) {
+        out.finds.push_back(g.find(id));
+    }
+    out.classIds = g.classIds();
+    for (const EClassId id : out.classIds) {
+        std::vector<ENode>& nodes = out.nodes.emplace_back();
+        for (const ENode& node : g.cls(id).nodes) {
+            nodes.push_back(g.canonicalize(node));
+            out.lookups.push_back(g.lookup(node));
+        }
+        out.stamps.push_back(g.classStamp(id));
+    }
+    for (size_t op = 0; op < kNumOps; ++op) {
+        out.withOp.push_back(g.classesWithOp(static_cast<Op>(op)));
+    }
+    const EGraph copy(g);
+    out.copyDump = dumpText(copy);
+    return out;
+}
+
+TEST(EGraphTest, ConcurrentReadsOfRebuiltGraph)
+{
+    // Threading contract: once rebuilt, a graph nobody mutates may be
+    // read from many threads at once.  Every lane must see exactly what a
+    // serial reader sees.  Run under TSan in CI.
+    Rng rng(1017);
+    EGraph g;
+    std::vector<EClassId> ids;
+    for (int64_t v = 0; v < 8; ++v) {
+        ids.push_back(g.add(leafLit(v)));
+    }
+    static const Op kOps[] = {Op::Add, Op::Mul, Op::Sub};
+    for (int i = 0; i < 300; ++i) {
+        const EClassId a = ids[rng.below(ids.size())];
+        const EClassId b = ids[rng.below(ids.size())];
+        ids.push_back(g.add(
+            ENode(kOps[rng.below(std::size(kOps))], Payload::none(), {a, b})));
+    }
+    for (int i = 0; i < 12; ++i) {
+        g.merge(ids[rng.below(ids.size())], ids[rng.below(ids.size())]);
+    }
+    g.rebuild();
+    ASSERT_LT(g.numClasses(), g.numIds());
+
+    // The lanes read first, so a read that would write (a cache refresh
+    // rebuild() left to do) races under TSan.
+    setGlobalThreads(4);
+    std::vector<GraphReads> lanes(16);
+    globalPool().parallelFor(lanes.size(),
+                             [&](size_t i) { lanes[i] = readAll(g); });
+    setGlobalThreads(0);
+    const GraphReads serial = readAll(g);
+    for (size_t i = 0; i < lanes.size(); ++i) {
+        EXPECT_TRUE(lanes[i] == serial) << "task " << i;
+    }
 }
 
 }  // namespace

@@ -1,8 +1,8 @@
 /**
  * The determinism contract of the work-stealing parallelization: the AU
- * sweep and the EqSat match phase must produce results that are
- * byte-identical to a serial run at every thread count (DESIGN.md
- * "Threading model").
+ * sweep must produce results byte-identical to a serial run at every
+ * thread count, and EqSat output must not depend on the pool width
+ * (DESIGN.md "Threading model").
  */
 #include <gtest/gtest.h>
 
@@ -130,10 +130,9 @@ TEST(ParallelDeterminismTest, GlobalPoolThreadsMatchDedicatedPool)
 
 TEST(ParallelDeterminismTest, EqSatMatchPhaseIdenticalAcrossThreads)
 {
-    // The parallel match fan-out merges per-rule results in rule order,
-    // so iteration-by-iteration the applies -- and with them class-id
-    // assignment -- replay the serial run exactly: the dumps are
-    // byte-identical, not just isomorphic.
+    // EqSat output must not depend on the pool width: rules search and
+    // apply in rule order at every width, so class-id assignment is the
+    // same and the dumps are byte-identical, not just isomorphic.
     auto build = [] {
         EGraph g;
         for (int i = 0; i < 6; ++i) {
