@@ -33,14 +33,15 @@ namespace corpus {
 inline constexpr char kMagic[8] = {'I', 'S', 'A', 'M', 'C', 'R', 'P', '\n'};
 
 /** Bumped on any incompatible layout change; old files are refused.
- *  Version 2 dropped the e-graph snapshot section (tag 5). */
-inline constexpr uint32_t kFormatVersion = 2;
+ *  Version 2 dropped the e-graph snapshot section (tag 5).  Version 3
+ *  dropped the AU chunk memo section (tag 3) and refuses version-2
+ *  Results, which hold fronts of the old chunked AU sweep. */
+inline constexpr uint32_t kFormatVersion = 3;
 
 /** Section tags (u32, stable). */
 enum class SectionTag : uint32_t {
     Strategies = 1,  ///< per-workload-class tuned EqSat strategies
     Library = 2,     ///< accumulated cross-workload pattern library
-    AuChunks = 3,    ///< AU sweep chunk memo keyed by trace signature
     Results = 4,     ///< full analysis results keyed by analysis key
 };
 

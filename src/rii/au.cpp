@@ -1,8 +1,6 @@
 #include "rii/au.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <functional>
 #include <sstream>
 #include <unordered_map>
 #include <unordered_set>
@@ -14,7 +12,6 @@
 #include "support/check.hpp"
 #include "support/fault.hpp"
 #include "support/hashing.hpp"
-#include "support/pool.hpp"
 #include "support/stopwatch.hpp"
 #include "support/telemetry.hpp"
 
@@ -190,264 +187,59 @@ class PairSelector {
     size_t pairsConsidered_ = 0;
 };
 
-/** Immutable per-sweep data shared (read-only) by every shard. */
-struct SweepContext {
-    const EGraph& egraph;
-    const AuOptions& options;
-    const ClassMap<TermPtr>& reprs;  ///< small representatives, AU(a, a)
-};
-
-/** What one explored pair contributed, recorded in sweep order. */
-struct PairRecord {
-    bool skipped = false;       ///< fault / per-pair deadline / exception
-    size_t rawCandidates = 0;   ///< candidates enumerated for this pair
-    std::vector<TermPtr> patterns;  ///< filtered, hole-canonical, un-deduped
-};
-
-/** One chunk's outcome: a prefix of its pair range plus why it ended. */
-struct ChunkOutcome {
-    std::vector<PairRecord> records;
-    bool stopped = false;  ///< sweep deadline / sweep fault: rest skipped
-    bool aborted = false;  ///< candidate budget blew (last record partial)
-    // Shard memo behaviour over this chunk (telemetry; deterministic for
-    // a full chunk because the memo resets at every chunk boundary).
-    size_t memoHits = 0;
-    size_t memoMisses = 0;
-    /** Trace signature (0 unless the chunk cache was consulted). */
-    uint64_t signature = 0;
-    /** Whether the records came from the chunk cache, not a cold run. */
-    bool replayed = false;
-};
-
 /**
- * Topology-aware content hash of a term DAG: every distinct node gets a
- * local index in first-visit order, so internal sharing is part of the
- * hash.  Needed because the feature model downstream counts hardware
- * per distinct pointer -- two reps with equal content but different
- * sharing are observably different.
- */
-uint64_t
-topologyHash(const TermPtr& term)
-{
-    std::unordered_map<const Term*, uint64_t> ids;
-    uint64_t hash = mix64(0x746f706full);  // 'topo'
-    const std::function<void(const TermPtr&)> walk =
-        [&](const TermPtr& t) {
-            const auto [it, fresh] = ids.emplace(t.get(), ids.size());
-            if (!fresh) {
-                hash = hashCombine(hash, 0xB0);
-                hash = hashCombine(hash, it->second);
-                return;
-            }
-            hash = hashCombine(hash, 0xB1);
-            hash = hashCombine(hash, static_cast<uint64_t>(t->op));
-            hash = hashCombine(hash, t->payload.hash());
-            hash = hashCombine(hash, t->children.size());
-            for (const TermPtr& child : t->children) {
-                walk(child);
-            }
-        };
-    walk(term);
-    return hash;
-}
-
-/** The AuOptions knobs that shape a shard's records (threads and the
- *  merge-level caps deliberately excluded). */
-uint64_t
-auOptionsFingerprint(const AuOptions& o)
-{
-    uint64_t h = mix64(0x61754f70ull);  // 'auOp'
-    h = hashCombine(h, static_cast<uint64_t>(o.sampling));
-    h = hashCombine(h, static_cast<uint64_t>(o.maxDepth));
-    h = hashCombine(h, o.maxPatternsPerPair);
-    h = hashCombine(h, o.minOps);
-    h = hashCombine(h, static_cast<uint64_t>(o.kdDims));
-    h = hashCombine(h, static_cast<uint64_t>(o.kdBeta));
-    h = hashCombine(h, o.maxCandidates);
-    return h;
-}
-
-/**
- * Mirror of AuShard's recursion that hashes -- instead of computing --
- * everything the shard's result depends on: the pair sequence with
- * class identities numbered in first-visit order (so absolute class ids
- * drop out and isomorphic chunks from different runs or workloads
- * collide on purpose), every depth/same-class/memo-hit/cycle event in
- * recursion order, the (op, payload, arity) of each matching e-node
- * pair, and the content-and-topology hash of each representative term a
- * same-class step returns.  Hole identities need no mirroring: they are
- * keyed by ordered class pairs (captured by the local ids) and
- * canonicalizeHoles renumbers them per pattern anyway.  Two chunks with
- * equal signatures therefore produce identical PairRecords under equal
- * options, which is what makes AuChunkCache replay sound.
- */
-class ChunkSigner {
- public:
-    ChunkSigner(const EGraph& egraph, const AuOptions& options,
-                const ClassMap<uint64_t>& reprHashes)
-        : egraph_(egraph), options_(options), reprHashes_(reprHashes)
-    {}
-
-    uint64_t
-    sign(const std::vector<std::pair<EClassId, EClassId>>& pairs,
-         size_t begin, size_t end)
-    {
-        hash_ = auOptionsFingerprint(options_);
-        feed(end - begin);
-        for (size_t i = begin; i < end; ++i) {
-            feed(kMarkPair);
-            visit(pairs[i].first, pairs[i].second, options_.maxDepth);
-        }
-        return hash_;
-    }
-
- private:
-    enum : uint64_t {
-        kMarkPair = 0xA1,
-        kMarkDepth0 = 0xA2,
-        kMarkSameRepr = 0xA3,
-        kMarkSameHole = 0xA4,
-        kMarkMemo = 0xA5,
-        kMarkCycle = 0xA6,
-        kMarkExpand = 0xA7,
-        kMarkNode = 0xA8,
-        kMarkEnd = 0xA9,
-    };
-
-    void feed(uint64_t v) { hash_ = hashCombine(hash_, v); }
-
-    uint64_t
-    localId(EClassId id)
-    {
-        const auto [it, fresh] = locals_.emplace(id, locals_.size());
-        return it->second;
-    }
-
-    void
-    visit(EClassId a, EClassId b, int depth)
-    {
-        a = egraph_.find(a);
-        b = egraph_.find(b);
-        if (depth <= 0) {
-            feed(kMarkDepth0);
-            feed(localId(a));
-            feed(localId(b));
-            return;
-        }
-        if (a == b) {
-            auto repr = reprHashes_.find(a);
-            if (repr != reprHashes_.end()) {
-                feed(kMarkSameRepr);
-                feed(localId(a));
-                feed(repr->second);
-            } else {
-                feed(kMarkSameHole);
-                feed(localId(a));
-            }
-            return;
-        }
-        const PairKey key{a, b};
-        // The shard memo is depth-oblivious (a memoized pair answers any
-        // later depth); the mirror must be too.
-        if (signed_.count(key) != 0) {
-            feed(kMarkMemo);
-            feed(localId(a));
-            feed(localId(b));
-            return;
-        }
-        if (inProgress_.count(key) != 0) {
-            feed(kMarkCycle);
-            feed(localId(a));
-            feed(localId(b));
-            return;
-        }
-        inProgress_.insert(key);
-        feed(kMarkExpand);
-        feed(localId(a));
-        feed(localId(b));
-        for (const ENode& na : egraph_.cls(a).nodes) {
-            for (const ENode& nb : egraph_.cls(b).nodes) {
-                if (na.op != nb.op || na.payload != nb.payload ||
-                    na.children.size() != nb.children.size() ||
-                    na.isLeaf()) {
-                    continue;
-                }
-                feed(kMarkNode);
-                feed(static_cast<uint64_t>(na.op));
-                feed(na.payload.hash());
-                feed(na.children.size());
-                for (size_t i = 0; i < na.children.size(); ++i) {
-                    visit(na.children[i], nb.children[i], depth - 1);
-                }
-            }
-        }
-        feed(kMarkEnd);
-        inProgress_.erase(key);
-        signed_.insert(key);
-    }
-
-    const EGraph& egraph_;
-    const AuOptions& options_;
-    const ClassMap<uint64_t>& reprHashes_;
-    uint64_t hash_ = 0;
-    std::unordered_map<EClassId, uint64_t> locals_;
-    std::unordered_set<PairKey, PairKeyHash> signed_;
-    std::unordered_set<PairKey, PairKeyHash> inProgress_;
-};
-
-/**
- * The anti-unification engine for one chunk of the pair list.
+ * The anti-unification engine for one sweep over the admissible pairs.
  *
- * Each shard owns its memo, hole namespace, and cycle-breaking set, so
- * shards never synchronize; canonicalizeHoles() renumbers every emitted
- * pattern's holes by first occurrence, which makes the per-shard hole
- * namespace invisible in the output.  The merge in identifyPatterns()
- * replays the serial sweep's control flow over the recorded chunks in
- * pair order, so the result is independent of the thread count.
+ * One memo, one hole namespace, one cycle-breaking set and one child
+ * Budget serve the whole sweep, which walks the pairs in selectAuPairs
+ * order, deduplicates inline and stops at the result-pattern cap -- the
+ * smart AU of paper section 5.2.  The sweep is serial, so its output is
+ * deterministic by construction; canonicalizeHolesUninterned() renumbers
+ * every emitted pattern's holes by first occurrence, so the sweep-wide
+ * hole namespace never shows in the output.
  */
-class AuShard {
+class AuSweep {
  public:
-    AuShard(const SweepContext& ctx, Budget* parent)
-        : egraph_(ctx.egraph), options_(ctx.options), reprs_(ctx.reprs),
-          budget_(sweepSpec(ctx.options), parent),
-          pairLimited_(ctx.options.maxSecondsPerPair != kUnlimitedSeconds)
+    AuSweep(const EGraph& egraph, const AuOptions& options,
+            const ClassMap<TermPtr>& reprs, Budget* parent)
+        : egraph_(egraph), options_(options), reprs_(reprs),
+          budget_(sweepSpec(options), parent),
+          pairLimited_(options.maxSecondsPerPair != kUnlimitedSeconds)
     {
         sweepLimited_ = budget_.remainingSeconds() != kUnlimitedSeconds;
     }
 
-    ChunkOutcome
-    runChunk(const std::vector<std::pair<EClassId, EClassId>>& pairs,
-             size_t begin, size_t end, std::atomic<bool>& stopFlag)
+    /** Explore @p pairs in order, filling @p result (whose
+     *  pairsConsidered the caller has already set). */
+    void
+    run(const std::vector<std::pair<EClassId, EClassId>>& pairs,
+        AuResult& result)
     {
-        ChunkOutcome out;
-        out.records.reserve(end - begin);
-        for (size_t i = begin; i < end; ++i) {
+        AuStats& stats = result.stats;
+        std::unordered_set<TermPtr, TermPtrHash, TermPtrEq> seen;
+        for (const auto& [a, b] : pairs) {
+            if (result.patterns.size() >= options_.maxResultPatterns) {
+                break;
+            }
             if (aborted_) {
                 // The candidate budget blew mid-enumeration.  That cap is
                 // experiment policy (the LLMT baseline exceeds it by
                 // design), so the pairs never reached are not counted as
                 // skipped work: `aborted` already tells the whole story.
-                out.aborted = true;
                 break;
             }
-            if (fault::tripped("au.sweep") || !budget_.ok() ||
-                stopFlag.load(std::memory_order_relaxed)) {
-                // Sweep-level stop.  Flagging it lets sibling shards bail
-                // out instead of computing results the merge will drop.
-                stopFlag.store(true, std::memory_order_relaxed);
-                out.stopped = true;
+            if (fault::tripped("au.sweep") || !budget_.ok()) {
+                stats.timedOut = true;
+                stats.skippedPairs += pairs.size() - stats.pairsExplored;
                 break;
             }
-            const auto& [a, b] = pairs[i];
-            PairRecord rec;
+            ++stats.pairsExplored;
             pairTripped_ = false;
             if (pairLimited_) {
                 pairWatch_.reset();
             }
-            const size_t rawBefore = rawCount_;
             if (fault::tripped("au.pair")) {
-                rec.skipped = true;
-                out.records.push_back(std::move(rec));
+                ++stats.skippedPairs;
                 continue;
             }
             // Per-pair skip-and-record: a pair that overruns its budget
@@ -457,21 +249,15 @@ class AuShard {
                 produced = au(a, b, options_.maxDepth);
             } catch (const InternalError&) {
                 inProgress_.clear();
-                rec.skipped = true;
-                rec.rawCandidates = rawCount_ - rawBefore;
-                out.records.push_back(std::move(rec));
+                ++stats.skippedPairs;
                 continue;
             } catch (const std::bad_alloc&) {
                 inProgress_.clear();
-                rec.skipped = true;
-                rec.rawCandidates = rawCount_ - rawBefore;
-                out.records.push_back(std::move(rec));
+                ++stats.skippedPairs;
                 continue;
             }
-            rec.rawCandidates = rawCount_ - rawBefore;
             if (pairTripped_) {
-                rec.skipped = true;
-                out.records.push_back(std::move(rec));
+                ++stats.skippedPairs;
                 continue;
             }
             for (const TermPtr& p : produced) {
@@ -484,16 +270,20 @@ class AuShard {
                 // topology, which the registry's scheduling view (and
                 // through it, pattern hardware costs) depends on; the
                 // registry interns the canonical identity itself.
-                rec.patterns.push_back(canonicalizeHolesUninterned(p));
+                TermPtr canon = canonicalizeHolesUninterned(p);
+                if (seen.insert(canon).second) {
+                    result.patterns.push_back(std::move(canon));
+                    if (result.patterns.size() >=
+                        options_.maxResultPatterns) {
+                        break;
+                    }
+                }
             }
-            out.records.push_back(std::move(rec));
         }
-        // An abort on the chunk's last pair never reaches the loop-top
-        // check; make sure the merge still sees it.
-        out.aborted = out.aborted || aborted_;
-        out.memoHits = memoHits_;
-        out.memoMisses = memoMisses_;
-        return out;
+        stats.rawCandidates = rawCount_;
+        stats.memoHits = memoHits_;
+        stats.memoMisses = memoMisses_;
+        stats.aborted = aborted_;
     }
 
  private:
@@ -602,6 +392,7 @@ class AuShard {
     {
         const size_t arity = na.children.size();
         std::vector<std::vector<TermPtr>> childSets(arity);
+        std::vector<std::pair<double, TermPtr>> keyed;
         for (size_t i = 0; i < arity; ++i) {
             childSets[i] = au(na.children[i], nb.children[i], depth - 1);
             if (childSets[i].empty()) {
@@ -610,12 +401,21 @@ class AuShard {
             }
             // Cheapest (most general) child patterns first, so the capped
             // product enumeration visits concise generalizations before
-            // the deep specialized ones.
-            std::sort(childSets[i].begin(), childSets[i].end(),
-                      [](const TermPtr& x, const TermPtr& y) {
-                          return hls::patternFeature(x) <
-                                 hls::patternFeature(y);
+            // the deep specialized ones.  Each feature (a full estimator
+            // walk) is computed once, not once per comparison; sorting
+            // the keys with the same `<` yields the same permutation.
+            keyed.clear();
+            for (TermPtr& term : childSets[i]) {
+                keyed.emplace_back(hls::patternFeature(term),
+                                   std::move(term));
+            }
+            std::sort(keyed.begin(), keyed.end(),
+                      [](const auto& x, const auto& y) {
+                          return x.first < y.first;
                       });
+            for (size_t k = 0; k < keyed.size(); ++k) {
+                childSets[i][k] = std::move(keyed[k].second);
+            }
         }
 
         // Enumerate the product with a per-node cap (sampling later
@@ -783,16 +583,6 @@ class AuShard {
     bool aborted_ = false;
 };
 
-/**
- * Pairs per chunk (= per shard).  A pure constant, NOT derived from the
- * thread count: the chunk partition decides where shard memos reset and
- * therefore shapes per-pair candidate counts, so deriving it from the
- * lane count would make output depend on the machine.  Small enough to
- * load-balance across stealing lanes, large enough to amortize the
- * per-shard memo warmup.
- */
-constexpr size_t kChunkPairs = 32;
-
 }  // namespace
 
 std::vector<std::pair<EClassId, EClassId>>
@@ -815,10 +605,10 @@ identifyPatterns(const EGraph& egraph, const AuOptions& options,
     AuResult result;
     const auto pairs = selectAuPairs(egraph, options, &result.stats);
 
-    // Small representative terms (for AU(a, a)), shared by all shards.
-    // Each rep is a private uninterned DAG: the pointer-counted feature
-    // model must not see sharing across extraction roots (see
-    // copyTopologyUninterned in dsl/intern.hpp).
+    // Small representative terms (for AU(a, a)).  Each rep is a private
+    // uninterned DAG: the pointer-counted feature model must not see
+    // sharing across extraction roots (see copyTopologyUninterned in
+    // dsl/intern.hpp).
     ClassMap<TermPtr> reprs;
     {
         TELEM_SPAN("au.reprs", "au");
@@ -831,217 +621,27 @@ identifyPatterns(const EGraph& egraph, const AuOptions& options,
             }
         }
     }
-    const SweepContext ctx{egraph, options, reprs};
+    AuSweep(egraph, options, reprs, budget).run(pairs, result);
 
-    // The chunk cache is consulted only when a replay is provably
-    // equivalent to a cold run: no deadline can cut a chunk short, no
-    // budget level can abort it, no fault site can fire inside it, and
-    // sampling is chunked (Exhaustive's single serial shard carries its
-    // abort point as part of the experiment).
-    AuChunkCache* const cache =
-        (options.chunkCache != nullptr &&
-         options.sampling != Sampling::Exhaustive &&
-         !fault::Registry::instance().enabled() &&
-         options.maxSeconds == kUnlimitedSeconds &&
-         options.maxSecondsPerPair == kUnlimitedSeconds &&
-         (budget == nullptr || budget->unconstrained()))
-            ? options.chunkCache
-            : nullptr;
-    ClassMap<uint64_t> reprHashes;
-    if (cache != nullptr) {
-        reprHashes.reserve(reprs.size());
-        for (const auto& [id, repr] : reprs) {
-            reprHashes[id] = topologyHash(repr);
-        }
-    }
-
-    // Shard the pair list into fixed-size chunks and fan them across the
-    // pool.  Exhaustive mode runs as a single serial shard: its global
-    // candidate-budget abort point is order-dependent by design.
-    const size_t chunkSize = options.sampling == Sampling::Exhaustive
-                                 ? std::max<size_t>(pairs.size(), 1)
-                                 : kChunkPairs;
-    const size_t numChunks = (pairs.size() + chunkSize - 1) / chunkSize;
-    std::vector<ChunkOutcome> outcomes(numChunks);
-    std::atomic<bool> stopFlag{false};
-    auto runChunk = [&](size_t c) {
-        TELEM_SPAN_ARGS("au.chunk", "au",
-                        "\"chunk\": " + std::to_string(c));
-        const size_t begin = c * chunkSize;
-        const size_t end = std::min(pairs.size(), (c + 1) * chunkSize);
-        uint64_t signature = 0;
-        if (cache != nullptr) {
-            ChunkSigner signer(egraph, options, reprHashes);
-            signature = signer.sign(pairs, begin, end);
-            if (const AuCachedChunk* hit = cache->lookup(signature)) {
-                // Replay: clone each pattern as a private uninterned DAG
-                // (within-pattern sharing preserved; downstream charges
-                // hardware per distinct pointer) and charge the budget
-                // exactly what the cold run charged, so parent budget
-                // accounting is identical.
-                ChunkOutcome replayed;
-                replayed.signature = signature;
-                replayed.replayed = true;
-                replayed.memoHits = hit->memoHits;
-                replayed.memoMisses = hit->memoMisses;
-                replayed.records.reserve(hit->pairs.size());
-                for (const AuCachedPair& pair : hit->pairs) {
-                    PairRecord rec;
-                    rec.rawCandidates = pair.rawCandidates;
-                    rec.patterns.reserve(pair.patterns.size());
-                    for (const TermPtr& p : pair.patterns) {
-                        rec.patterns.push_back(copyTopologyUninterned(p));
-                    }
-                    replayed.records.push_back(std::move(rec));
-                }
-                if (budget != nullptr && hit->units > 0) {
-                    budget->charge(hit->units);
-                }
-                outcomes[c] = std::move(replayed);
-                return;
-            }
-        }
-        AuShard shard(ctx, budget);
-        outcomes[c] = shard.runChunk(pairs, begin, end, stopFlag);
-        outcomes[c].signature = signature;
-    };
-    if (options.threads == 1 || numChunks <= 1) {
-        for (size_t c = 0; c < numChunks; ++c) {
-            runChunk(c);
-        }
-    } else if (options.threads == 0) {
-        globalPool().parallelFor(numChunks, runChunk);
-    } else {
-        ThreadPool pool(options.threads);
-        pool.parallelFor(numChunks, runChunk);
-    }
-
-    // Feed the chunk cache: record every chunk that ran clean end to end
-    // (no stop, no abort, no skipped pair), and count the pairs that
-    // replayed chunks spared us.  Stored patterns share the shard's term
-    // DAGs; the cache owns them from here on.
-    if (cache != nullptr) {
-        size_t replayedPairs = 0;
-        for (size_t c = 0; c < numChunks; ++c) {
-            const ChunkOutcome& chunk = outcomes[c];
-            if (chunk.replayed) {
-                replayedPairs += chunk.records.size();
-                continue;
-            }
-            if (chunk.signature == 0 || chunk.stopped || chunk.aborted) {
-                continue;
-            }
-            bool clean = true;
-            AuCachedChunk cached;
-            cached.memoHits = chunk.memoHits;
-            cached.memoMisses = chunk.memoMisses;
-            cached.pairs.reserve(chunk.records.size());
-            for (const PairRecord& rec : chunk.records) {
-                if (rec.skipped) {
-                    clean = false;
-                    break;
-                }
-                AuCachedPair pair;
-                pair.rawCandidates = rec.rawCandidates;
-                pair.patterns = rec.patterns;
-                cached.units += rec.rawCandidates;
-                cached.pairs.push_back(std::move(pair));
-            }
-            if (clean) {
-                cache->store(chunk.signature, std::move(cached));
-            }
-        }
-        telemetry::Registry::instance()
-            .counter("corpus.skipped_pairs")
-            .add(replayedPairs);
-    }
-
-    // Telemetry per-shard records: what every chunk actually did,
-    // including chunks the merge below will cut off.  Hit rates and
-    // budget charge are per-chunk because each chunk is its own shard
-    // (fresh memo, own Budget child).
     if (telemetry::enabled()) {
+        const AuStats& stats = result.stats;
         auto& registry = telemetry::Registry::instance();
-        for (size_t c = 0; c < numChunks; ++c) {
-            const ChunkOutcome& chunk = outcomes[c];
-            size_t raw = 0;
-            size_t skipped = 0;
-            for (const PairRecord& rec : chunk.records) {
-                raw += rec.rawCandidates;
-                skipped += rec.skipped ? 1 : 0;
-            }
-            std::ostringstream rec;
-            rec << "{\"chunk\": " << c
-                << ", \"pairs\": " << chunk.records.size()
-                << ", \"raw_candidates\": " << raw
-                << ", \"memo_hits\": " << chunk.memoHits
-                << ", \"memo_misses\": " << chunk.memoMisses
-                << ", \"skipped\": " << skipped
-                << ", \"stopped\": " << (chunk.stopped ? "true" : "false")
-                << ", \"aborted\": " << (chunk.aborted ? "true" : "false")
-                << ", \"replayed\": " << (chunk.replayed ? "true" : "false")
-                << "}";
-            registry.appendRecord("au.shards", rec.str());
-            registry.counter("au.pairs_explored").add(chunk.records.size());
-            registry.counter("au.raw_candidates").add(raw);
-            registry.counter("au.memo_hits").add(chunk.memoHits);
-            registry.counter("au.memo_misses").add(chunk.memoMisses);
-        }
-    }
-
-    // Merge in pair order, replaying the serial sweep's control flow:
-    // global structural dedup, the result-pattern cap (checked before
-    // each pair and again mid-pair), the candidate-budget abort at the
-    // cumulative count, and skip accounting for a sweep-level stop.
-    // Everything here depends only on the per-chunk records, which the
-    // fixed chunk partition makes thread-count invariant.
-    AuStats& stats = result.stats;
-    std::unordered_set<TermPtr, TermPtrHash, TermPtrEq> seen;
-    size_t cumulativeRaw = 0;
-    bool done = false;
-    for (size_t c = 0; c < numChunks && !done; ++c) {
-        const ChunkOutcome& chunk = outcomes[c];
-        for (const PairRecord& rec : chunk.records) {
-            if (result.patterns.size() >= options.maxResultPatterns) {
-                done = true;
-                break;
-            }
-            ++stats.pairsExplored;
-            cumulativeRaw += rec.rawCandidates;
-            stats.rawCandidates = cumulativeRaw;
-            if (rec.skipped) {
-                ++stats.skippedPairs;
-            } else {
-                for (const TermPtr& p : rec.patterns) {
-                    if (seen.insert(p).second) {
-                        result.patterns.push_back(p);
-                        if (result.patterns.size() >=
-                            options.maxResultPatterns) {
-                            break;
-                        }
-                    }
-                }
-            }
-            if (options.sampling != Sampling::Exhaustive &&
-                cumulativeRaw > options.maxCandidates) {
-                stats.aborted = true;
-                done = true;
-                break;
-            }
-        }
-        if (done) {
-            break;
-        }
-        if (chunk.aborted) {
-            stats.aborted = true;
-            break;
-        }
-        if (chunk.stopped) {
-            stats.timedOut = true;
-            stats.skippedPairs +=
-                pairs.size() - (c * chunkSize + chunk.records.size());
-            break;
-        }
+        std::ostringstream rec;
+        rec << "{\"pairs\": " << pairs.size()
+            << ", \"pairs_explored\": " << stats.pairsExplored
+            << ", \"raw_candidates\": " << stats.rawCandidates
+            << ", \"memo_hits\": " << stats.memoHits
+            << ", \"memo_misses\": " << stats.memoMisses
+            << ", \"patterns\": " << result.patterns.size()
+            << ", \"skipped\": " << stats.skippedPairs
+            << ", \"stopped\": " << (stats.timedOut ? "true" : "false")
+            << ", \"aborted\": " << (stats.aborted ? "true" : "false")
+            << "}";
+        registry.appendRecord("au.sweeps", rec.str());
+        registry.counter("au.pairs_explored").add(stats.pairsExplored);
+        registry.counter("au.raw_candidates").add(stats.rawCandidates);
+        registry.counter("au.memo_hits").add(stats.memoHits);
+        registry.counter("au.memo_misses").add(stats.memoMisses);
     }
     return result;
 }

@@ -18,7 +18,7 @@
  */
 #pragma once
 
-#include <cstdint>
+#include <cstddef>
 
 #include "egraph/analysis.hpp"
 #include "dsl/term.hpp"
@@ -32,47 +32,6 @@ enum class Sampling {
     Exhaustive,  ///< vanilla LLMT: full Cartesian products
     Boundary,    ///< keep the two extreme patterns per e-node pair
     KdTree,      ///< kd-cell stratified sampling
-};
-
-/** What one explored pair contributed to a cached chunk. */
-struct AuCachedPair {
-    size_t rawCandidates = 0;       ///< candidates the pair enumerated
-    std::vector<TermPtr> patterns;  ///< filtered, hole-canonical DAGs
-};
-
-/** One recorded AU chunk: a clean shard run, replayable verbatim. */
-struct AuCachedChunk {
-    std::vector<AuCachedPair> pairs;
-    size_t units = 0;      ///< budget charges the cold run made
-    size_t memoHits = 0;   ///< shard memo behaviour (telemetry parity)
-    size_t memoMisses = 0;
-};
-
-/**
- * Cross-run memo of AU chunk results, keyed by a 64-bit *trace
- * signature*: a structural hash of exactly the e-graph state the shard's
- * recursion observes (local class identities in first-visit order, node
- * ops/payloads/arities of matching e-node pairs, representative-term
- * content, memo/cycle/depth events) plus the sweep options.  Equal
- * signatures imply the cold run would reproduce the recorded records
- * byte for byte, so a hit skips the pair enumeration entirely -- across
- * runs, and across workloads whose chunks happen to be isomorphic.
- *
- * Implementations must keep returned chunk pointers stable for the
- * cache's lifetime (the sweep reads them from pool workers) and make
- * lookup/store safe to call concurrently.  The sweep only consults the
- * cache when the run is unconstrained and fault-free; see
- * identifyPatterns.
- */
-class AuChunkCache {
- public:
-    virtual ~AuChunkCache() = default;
-
-    /** The recorded chunk for @p signature, or nullptr. */
-    virtual const AuCachedChunk* lookup(uint64_t signature) const = 0;
-
-    /** Record a clean chunk (first store wins; later stores may drop). */
-    virtual void store(uint64_t signature, AuCachedChunk chunk) = 0;
 };
 
 /** Options for one anti-unification sweep. */
@@ -126,28 +85,6 @@ struct AuOptions {
      * continues with the next pair, the per-unit degradation contract.
      */
     double maxSecondsPerPair = kUnlimitedSeconds;
-
-    /**
-     * Worker threads for the pair sweep: 0 uses the process-global pool
-     * (sized by --threads / ISAMORE_THREADS), 1 forces a serial sweep,
-     * any other value runs on a dedicated pool of that size.  The sweep
-     * is sharded into fixed-size chunks *independent of this value* and
-     * merged in pair order, so the result patterns and stats are
-     * identical for every thread count (see DESIGN.md "Threading model").
-     * Exhaustive sampling always runs as one serial shard: its
-     * candidate-budget abort point is part of the experiment.
-     */
-    size_t threads = 0;
-
-    /**
-     * Optional cross-run chunk memo (see AuChunkCache).  Consulted only
-     * when the sweep is unconstrained (no deadlines, an unconstrained
-     * budget chain, no armed faults) and sampling is not Exhaustive;
-     * replayed chunks are charged against the budget exactly as their
-     * cold runs were, so results and stats stay byte-identical.  Not
-     * part of the sweep's behavioural fingerprint.  Not owned.
-     */
-    AuChunkCache* chunkCache = nullptr;
 };
 
 /** Statistics from one AU sweep (feeds Table 2). */
@@ -160,6 +97,8 @@ struct AuStats {
     size_t skippedPairs = 0;
     bool aborted = false;        ///< blew the candidate budget
     bool timedOut = false;       ///< the sweep deadline tripped
+    size_t memoHits = 0;         ///< pair-memo lookups answered
+    size_t memoMisses = 0;       ///< pair-memo lookups that recursed
 };
 
 /** Result of one AU sweep. */
@@ -170,7 +109,9 @@ struct AuResult {
 };
 
 /**
- * Run anti-unification over all admissible e-class pairs.
+ * Run anti-unification over the admissible e-class pairs: one serial
+ * sweep in selectAuPairs() order with one memo, deduplicating inline and
+ * stopping once options.maxResultPatterns distinct patterns are found.
  *
  * When @p budget is given, the sweep charges one unit per raw candidate
  * against it and clamps its deadline (from options.maxSeconds) to the

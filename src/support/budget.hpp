@@ -147,9 +147,9 @@ class Budget {
     bool hasDeadline_ = false;
     Clock::time_point deadline_{};
     size_t maxUnits_ = kUnlimitedAmount;
-    // charge() and expired() may be called concurrently from pool workers
-    // (the AU shards and the serial EqSat loop all charge one run budget),
-    // so the mutable state is a fetch_add counter plus a CAS-once latch.
+    // charge() and expired() may race with cancel() from a watchdog
+    // thread (the daemon's per-request deadlines), so the mutable state
+    // is a fetch_add counter plus a CAS-once latch.
     std::atomic<size_t> usedUnits_{0};
     size_t maxRssBytes_ = kUnlimitedAmount;
     std::atomic<BudgetStop> stop_{BudgetStop::None};

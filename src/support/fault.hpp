@@ -51,11 +51,10 @@ struct FaultArm {
 };
 
 /**
- * Process-wide fault registry.  Thread-safe: sites are visited from pool
- * workers (the parallel AU sweep polls sites concurrently, and daemon
- * lanes run whole pipelines side by side), so the site map is
- * mutex-guarded, hit counters are atomic, and the enabled flag read by
- * the fast path is a relaxed load.
+ * Process-wide fault registry.  Thread-safe: sites are visited from
+ * several threads (daemon lanes run whole pipelines side by side), so
+ * the site map is mutex-guarded, hit counters are atomic, and the
+ * enabled flag read by the fast path is a relaxed load.
  * Hit indices stay deterministic for serial visit orders; concurrent
  * visits to the *same* site race only for which visit gets which index,
  * never for whether exactly one visit fires a `@N` fault.

@@ -12,8 +12,23 @@ namespace telemetry {
 
 namespace detail {
 std::atomic<bool> g_enabled{false};
-thread_local RequestSink* t_requestSink = nullptr;
 }  // namespace detail
+
+namespace {
+thread_local RequestSink* t_requestSink = nullptr;
+}  // namespace
+
+RequestSink*
+threadRequestSink()
+{
+    return t_requestSink;
+}
+
+void
+setThreadRequestSink(RequestSink* sink)
+{
+    t_requestSink = sink;
+}
 
 void
 setEnabled(bool on)

@@ -31,7 +31,7 @@
  * Metrics registry: named counters (monotone, relaxed-atomic add),
  * gauges (last-write-wins), histograms (power-of-two buckets), and
  * ordered record streams (small JSON objects appended by cold merge
- * code, e.g. one record per EqSat iteration or AU shard).  Names are
+ * code, e.g. one record per EqSat iteration or AU sweep).  Names are
  * dot-hierarchical with an optional {label=value} suffix on the leaf
  * (e.g. "eqsat.applications{rule=add-comm}"); toJson() nests on the
  * dots and sorts every level, so output layout is deterministic even
@@ -188,33 +188,26 @@ class RequestSink {
     std::atomic<uint64_t> dropped_{0};
 };
 
-namespace detail {
-extern thread_local RequestSink* t_requestSink;
-}  // namespace detail
-
-/** The calling thread's request sink, or null when none is installed. */
-inline RequestSink*
-threadRequestSink()
-{
-    return detail::t_requestSink;
-}
+/**
+ * The calling thread's request sink, or null when none is installed.
+ * Out of line, like its setter: the thread_local behind them stays
+ * private to telemetry.cpp, so no other translation unit reaches it
+ * through an inline TLS wrapper.
+ */
+RequestSink* threadRequestSink();
 
 /** Install (or clear, with nullptr) the calling thread's request sink. */
-inline void
-setThreadRequestSink(RequestSink* sink)
-{
-    detail::t_requestSink = sink;
-}
+void setThreadRequestSink(RequestSink* sink);
 
 /** RAII install/restore of the calling thread's request sink. */
 class RequestSinkScope {
  public:
     explicit RequestSinkScope(RequestSink* sink)
-        : previous_(detail::t_requestSink)
+        : previous_(threadRequestSink())
     {
-        detail::t_requestSink = sink;
+        setThreadRequestSink(sink);
     }
-    ~RequestSinkScope() { detail::t_requestSink = previous_; }
+    ~RequestSinkScope() { setThreadRequestSink(previous_); }
 
     RequestSinkScope(const RequestSinkScope&) = delete;
     RequestSinkScope& operator=(const RequestSinkScope&) = delete;
@@ -267,7 +260,7 @@ class Span {
         event.startNs = start_;
         event.durNs = nowNs() - start_;
         event.args = std::move(args_);
-        if (RequestSink* sink = detail::t_requestSink) {
+        if (RequestSink* sink = threadRequestSink()) {
             sink->record(event, Tracer::instance().localTid());
         }
         Tracer::instance().record(std::move(event));

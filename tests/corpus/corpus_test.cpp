@@ -295,7 +295,6 @@ TEST(CorpusWarm, WarmRunByteIdenticalToColdAtEveryWidth)
     const rii::RiiResult cold =
         identifyInstructions(analyzed, rules, config, corpus);
     EXPECT_EQ(corpus.resultCount(), 1u);
-    EXPECT_GT(corpus.chunkCount(), 0u);
     EXPECT_GT(corpus.librarySize(), 0u);
     const std::string coldJson =
         stripWallClock(resultToJson(analyzed, cold));
@@ -333,7 +332,6 @@ TEST(CorpusWarm, ResultsSurviveSaveLoadAndStayIdentical)
     Corpus reader;
     reader.load(path, rules);
     EXPECT_EQ(reader.resultCount(), writer.resultCount());
-    EXPECT_EQ(reader.chunkCount(), writer.chunkCount());
     const rii::RiiResult warm =
         identifyInstructions(analyzed, rules, config, reader);
     EXPECT_EQ(stripWallClock(resultToJson(analyzed, warm)),

@@ -2,11 +2,44 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "egraph/rewrite.hpp"
 
 namespace isamore {
 namespace rii {
 namespace {
+
+/** A commutativity-saturated graph with many admissible pairs. */
+EGraph
+buildSweepGraph()
+{
+    EGraph g;
+    for (int i = 0; i < 12; ++i) {
+        g.addTerm(makeTerm(
+            Op::Add,
+            {makeTerm(Op::Mul, {makeTerm(Op::Add, {arg(0, i), lit(1)}),
+                                arg(0, i + 12)}),
+             makeTerm(Op::Mul, {arg(0, i + 24), lit(2)})}));
+    }
+    std::vector<RewriteRule> comm = {
+        makeRule("add-comm", "(+ ?0 ?1)", "(+ ?1 ?0)", kRuleSat),
+        makeRule("mul-comm", "(* ?0 ?1)", "(* ?1 ?0)", kRuleSat),
+    };
+    runEqSat(g, comm);
+    return g;
+}
+
+std::vector<std::string>
+patternStrings(const AuResult& result)
+{
+    std::vector<std::string> out;
+    for (const TermPtr& p : result.patterns) {
+        out.push_back(termToString(p));
+    }
+    return out;
+}
 
 bool
 containsPattern(const AuResult& result, const std::string& text)
@@ -137,6 +170,79 @@ TEST(AuTest, CandidateBudgetAborts)
     opt.maxCandidates = 50;
     auto result = identifyPatterns(g, opt);
     EXPECT_TRUE(result.stats.aborted);
+}
+
+TEST(AuTest, CandidateBudgetAbortIsDeterministic)
+{
+    // The sweep charges one unit per raw candidate and aborts on the
+    // first charge past the cap.  The abort is experiment policy, not
+    // degradation: the pairs never reached are not counted as skipped.
+    // Its point, and so the kept pattern prefix, is fixed by pair order.
+    const EGraph g = buildSweepGraph();
+    AuOptions opt;
+    opt.maxCandidates = 60;
+    Budget parent;
+    const AuResult base = identifyPatterns(g, opt, &parent);
+    ASSERT_TRUE(base.stats.aborted);
+    EXPECT_FALSE(base.stats.timedOut);
+    EXPECT_EQ(base.stats.rawCandidates, opt.maxCandidates + 1);
+    EXPECT_EQ(parent.usedUnits(), base.stats.rawCandidates);
+    EXPECT_EQ(base.stats.skippedPairs, 0u);
+    EXPECT_LT(base.stats.pairsExplored, selectAuPairs(g, opt).size());
+
+    const AuResult again = identifyPatterns(g, opt);
+    EXPECT_EQ(patternStrings(again), patternStrings(base));
+    EXPECT_EQ(again.stats.pairsExplored, base.stats.pairsExplored);
+    EXPECT_EQ(again.stats.rawCandidates, base.stats.rawCandidates);
+}
+
+TEST(AuTest, ResultPatternCapIsExact)
+{
+    // The cap is checked inside a pair as well as between pairs, so the
+    // result holds exactly maxResultPatterns patterns even when the last
+    // pair produced more.
+    const EGraph g = buildSweepGraph();
+    AuOptions opt;
+    opt.maxResultPatterns = 4;
+    const AuResult base = identifyPatterns(g, opt);
+    ASSERT_EQ(base.patterns.size(), 4u);
+    EXPECT_FALSE(base.stats.aborted);
+
+    const AuResult again = identifyPatterns(g, opt);
+    EXPECT_EQ(patternStrings(again), patternStrings(base));
+    EXPECT_EQ(again.stats.pairsExplored, base.stats.pairsExplored);
+    EXPECT_EQ(again.stats.rawCandidates, base.stats.rawCandidates);
+}
+
+TEST(AuTest, ResultPatternCapStopsTheSweep)
+{
+    // Smart AU stops once it has enough distinct patterns: the sweep
+    // ends at the pair that fills the cap, so later pairs are never
+    // explored (and not counted as skipped), and the patterns are the
+    // prefix an uncapped sweep finds first -- one memo in pair order.
+    const EGraph g = buildSweepGraph();
+    const AuResult full = identifyPatterns(g, AuOptions{});
+    ASSERT_GT(full.patterns.size(), 3u);
+    ASSERT_FALSE(full.stats.aborted);
+
+    AuOptions capped;
+    capped.maxResultPatterns = 3;
+    const AuResult result = identifyPatterns(g, capped);
+    const size_t admissible = selectAuPairs(g, capped).size();
+    EXPECT_LT(result.stats.pairsExplored, admissible);
+    EXPECT_LT(result.stats.pairsExplored, full.stats.pairsExplored);
+    EXPECT_LT(result.stats.rawCandidates, full.stats.rawCandidates);
+    EXPECT_EQ(result.stats.skippedPairs, 0u);
+    EXPECT_FALSE(result.stats.timedOut);
+
+    std::vector<std::string> prefix = patternStrings(full);
+    prefix.resize(3);
+    EXPECT_EQ(patternStrings(result), prefix);
+
+    // One pair earlier the cap was not yet full.
+    AuOptions shorter;
+    shorter.maxPairs = result.stats.pairsExplored - 1;
+    EXPECT_LT(identifyPatterns(g, shorter).patterns.size(), 3u);
 }
 
 TEST(AuTest, KdTreeSamplingKeepsWithinCaps)

@@ -1,8 +1,8 @@
 /**
- * The determinism contract of the work-stealing parallelization: the AU
- * sweep must produce results byte-identical to a serial run at every
- * thread count, and EqSat output must not depend on the pool width
- * (DESIGN.md "Threading model").
+ * The determinism contract of the work-stealing pool: EqSat output must
+ * not depend on the pool width (DESIGN.md "Threading model").  The AU
+ * sweep is serial, so its determinism needs no cross-width test; its
+ * abort and cap behaviour is pinned in au_test.cpp.
  */
 #include <gtest/gtest.h>
 
@@ -11,122 +11,11 @@
 
 #include "egraph/dump.hpp"
 #include "egraph/rewrite.hpp"
-#include "rii/au.hpp"
 #include "support/pool.hpp"
 
 namespace isamore {
 namespace rii {
 namespace {
-
-/** A saturated graph busy enough that chunks land on several threads. */
-EGraph
-buildSweepGraph()
-{
-    EGraph g;
-    for (int i = 0; i < 12; ++i) {
-        g.addTerm(makeTerm(
-            Op::Add,
-            {makeTerm(Op::Mul, {makeTerm(Op::Add, {arg(0, i), lit(1)}),
-                                arg(0, i + 12)}),
-             makeTerm(Op::Mul, {arg(0, i + 24), lit(2)})}));
-    }
-    std::vector<RewriteRule> comm = {
-        makeRule("add-comm", "(+ ?0 ?1)", "(+ ?1 ?0)", kRuleSat),
-        makeRule("mul-comm", "(* ?0 ?1)", "(* ?1 ?0)", kRuleSat),
-    };
-    runEqSat(g, comm);
-    return g;
-}
-
-std::vector<std::string>
-patternStrings(const AuResult& result)
-{
-    std::vector<std::string> out;
-    for (const TermPtr& p : result.patterns) {
-        out.push_back(termToString(p));
-    }
-    return out;
-}
-
-void
-expectSameStats(const AuStats& a, const AuStats& b)
-{
-    EXPECT_EQ(a.pairsConsidered, b.pairsConsidered);
-    EXPECT_EQ(a.pairsExplored, b.pairsExplored);
-    EXPECT_EQ(a.rawCandidates, b.rawCandidates);
-    EXPECT_EQ(a.skippedPairs, b.skippedPairs);
-    EXPECT_EQ(a.aborted, b.aborted);
-    EXPECT_EQ(a.timedOut, b.timedOut);
-}
-
-TEST(ParallelDeterminismTest, AuSweepIdenticalAcrossThreadCounts)
-{
-    const EGraph g = buildSweepGraph();
-    AuOptions serial;
-    serial.threads = 1;
-    const AuResult base = identifyPatterns(g, serial);
-    ASSERT_FALSE(base.patterns.empty());
-
-    for (size_t threads : {2u, 4u, 7u}) {
-        AuOptions opt;
-        opt.threads = threads;
-        const AuResult parallel = identifyPatterns(g, opt);
-        EXPECT_EQ(patternStrings(parallel), patternStrings(base))
-            << "threads=" << threads;
-        expectSameStats(parallel.stats, base.stats);
-    }
-}
-
-TEST(ParallelDeterminismTest, AuCandidateAbortIdenticalAcrossThreads)
-{
-    // The candidate-budget cutoff is part of the merged control flow:
-    // the abort point (and therefore the kept pattern prefix) must not
-    // move with the thread count.
-    const EGraph g = buildSweepGraph();
-    AuOptions serial;
-    serial.threads = 1;
-    serial.maxCandidates = 60;
-    const AuResult base = identifyPatterns(g, serial);
-    ASSERT_TRUE(base.stats.aborted);
-
-    AuOptions parallel = serial;
-    parallel.threads = 4;
-    const AuResult result = identifyPatterns(g, parallel);
-    EXPECT_EQ(patternStrings(result), patternStrings(base));
-    expectSameStats(result.stats, base.stats);
-}
-
-TEST(ParallelDeterminismTest, AuResultPatternCapIdenticalAcrossThreads)
-{
-    const EGraph g = buildSweepGraph();
-    AuOptions serial;
-    serial.threads = 1;
-    serial.maxResultPatterns = 5;
-    const AuResult base = identifyPatterns(g, serial);
-    ASSERT_EQ(base.patterns.size(), 5u);
-
-    AuOptions parallel = serial;
-    parallel.threads = 3;
-    const AuResult result = identifyPatterns(g, parallel);
-    EXPECT_EQ(patternStrings(result), patternStrings(base));
-    expectSameStats(result.stats, base.stats);
-}
-
-TEST(ParallelDeterminismTest, GlobalPoolThreadsMatchDedicatedPool)
-{
-    const EGraph g = buildSweepGraph();
-    AuOptions serial;
-    serial.threads = 1;
-    const AuResult base = identifyPatterns(g, serial);
-
-    setGlobalThreads(4);
-    AuOptions viaGlobal;
-    viaGlobal.threads = 0;
-    const AuResult result = identifyPatterns(g, viaGlobal);
-    setGlobalThreads(0);
-    EXPECT_EQ(patternStrings(result), patternStrings(base));
-    expectSameStats(result.stats, base.stats);
-}
 
 TEST(ParallelDeterminismTest, EqSatMatchPhaseIdenticalAcrossThreads)
 {

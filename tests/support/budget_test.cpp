@@ -141,7 +141,7 @@ TEST(BudgetTest, GrandchildChargesReachRoot)
 
 TEST(BudgetTest, ConcurrentChargesLoseNone)
 {
-    // AU shards charge one shared parent budget from worker threads;
+    // A budget may be charged from several threads at once;
     // the atomic counter must account for every unit and latch the trip
     // exactly at the limit crossing.
     BudgetSpec spec;

@@ -1147,7 +1147,7 @@ main(int argc, char** argv)
         if (corpusBench) {
             // Stage 5: persistent-corpus warm-start.  Cold = the full
             // pipeline against a fresh empty corpus, so every rep pays
-            // the AU-chunk/result store overhead a first-ever run pays;
+            // the result store overhead a first-ever run pays;
             // warm = the same run against the shared corpus a prior
             // (untimed) run populated, which is the result-cache hit a
             // daemon restart or repeated CI invocation serves.  The warm
@@ -1197,7 +1197,6 @@ main(int argc, char** argv)
         sharedCorpus.save(corpusOutPath, library);
         std::cerr << "corpus: saved " << corpusOutPath << " ("
                   << sharedCorpus.resultCount() << " results, "
-                  << sharedCorpus.chunkCount() << " AU chunks, "
                   << sharedCorpus.librarySize() << " patterns)\n";
     }
 

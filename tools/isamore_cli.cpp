@@ -50,8 +50,8 @@
  * `--corpus <path>` loads a persistent pattern corpus before the run
  * (starting empty if the file does not exist yet) and saves it back
  * afterwards, warm-starting this and future runs: cached results,
- * memoized AU chunks, tuned strategies, and the cross-workload pattern
- * library (see src/corpus/warm.hpp).  `--corpus-readonly` consults the
+ * tuned strategies, and the cross-workload pattern library (see
+ * src/corpus/warm.hpp).  `--corpus-readonly` consults the
  * corpus without writing the file (and makes a missing file an error);
  * `--corpus-seed` additionally injects patterns mined from *other*
  * workloads as candidates -- output-changing, so never used on
@@ -419,7 +419,6 @@ runCommand(int argc, char** argv)
             corpusStore->load(corpus_path, library);
             std::cerr << "corpus: loaded " << corpus_path << " ("
                       << corpusStore->resultCount() << " results, "
-                      << corpusStore->chunkCount() << " AU chunks, "
                       << corpusStore->librarySize() << " patterns, "
                       << corpusStore->strategyCount() << " strategies)\n";
         } else {
