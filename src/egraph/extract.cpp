@@ -1,6 +1,5 @@
 #include "egraph/extract.hpp"
 
-#include <set>
 #include <unordered_set>
 
 #include "support/check.hpp"
@@ -38,31 +37,32 @@ Extractor::Extractor(const EGraph& egraph, CostFn costFn)
     // current ascending pass (as the sweep would), one at or below it
     // waits for the next pass.
     TELEM_SPAN("extract.relax", "extract");
+    bestCost_.assign(egraph_.numIds(), 0.0);
+    bestNode_.assign(egraph_.numIds(), nullptr);
     uint64_t evals = 0;
     uint64_t improvements = 0;
+    std::vector<double> childCosts;  // scratch shared by all evaluations
     auto evaluate = [&](EClassId id) {
         ++evals;
         bool improved = false;
         for (const ENode& node : egraph_.cls(id).nodes) {
-            std::vector<double> childCosts;
-            childCosts.reserve(node.children.size());
+            childCosts.clear();
             bool feasible = true;
             for (EClassId child : node.children) {
-                auto it = bestCost_.find(egraph_.find(child));
-                if (it == bestCost_.end()) {
+                const EClassId c = egraph_.find(child);
+                if (bestNode_[c] == nullptr) {
                     feasible = false;
                     break;
                 }
-                childCosts.push_back(it->second);
+                childCosts.push_back(bestCost_[c]);
             }
             if (!feasible) {
                 continue;
             }
             const double cost = costFn_(node, childCosts);
-            auto it = bestCost_.find(id);
-            if (it == bestCost_.end() || cost < it->second - 1e-12) {
+            if (bestNode_[id] == nullptr || cost < bestCost_[id] - 1e-12) {
                 bestCost_[id] = cost;
-                bestNode_[id] = node;
+                bestNode_[id] = &node;
                 improved = true;
                 ++improvements;
             }
@@ -72,30 +72,26 @@ Extractor::Extractor(const EGraph& egraph, CostFn costFn)
 
     // Only classes holding a leaf node can become extractable unprompted;
     // everything else activates when a child first gets a cost.
-    std::set<EClassId> current;
-    std::set<EClassId> next;
+    PassWorklist worklist(egraph_.numIds());
     for (EClassId id : egraph_.classIds()) {
         for (const ENode& node : egraph_.cls(id).nodes) {
             if (node.children.empty()) {
-                current.insert(id);
+                worklist.seed(id);
                 break;
             }
         }
     }
-    while (!current.empty()) {
-        while (!current.empty()) {
-            const EClassId id = *current.begin();
-            current.erase(current.begin());
+    do {
+        EClassId id = 0;
+        while (worklist.pop(id)) {
             if (!evaluate(id)) {
                 continue;
             }
             for (const auto& use : egraph_.cls(id).parents) {
-                const EClassId parent = egraph_.find(use.second);
-                (parent > id ? current : next).insert(parent);
+                worklist.push(egraph_.find(use.second), id);
             }
         }
-        current.swap(next);
-    }
+    } while (worklist.nextPass());
     if (telemetry::enabled()) {
         auto& registry = telemetry::Registry::instance();
         registry.counter("extract.evals").add(evals);
@@ -106,25 +102,24 @@ Extractor::Extractor(const EGraph& egraph, CostFn costFn)
 std::optional<double>
 Extractor::costOf(EClassId klass) const
 {
-    auto it = bestCost_.find(egraph_.find(klass));
-    if (it == bestCost_.end()) {
+    klass = egraph_.find(klass);
+    if (bestNode_[klass] == nullptr) {
         return std::nullopt;
     }
-    return it->second;
+    return bestCost_[klass];
 }
 
 const ENode*
 Extractor::chosenNode(EClassId klass) const
 {
-    auto it = bestNode_.find(egraph_.find(klass));
-    return it == bestNode_.end() ? nullptr : &it->second;
+    return bestNode_[egraph_.find(klass)];
 }
 
 namespace {
 
 TermPtr
 materialize(const EGraph& egraph,
-            const std::unordered_map<EClassId, ENode>& bestNode,
+            const std::vector<const ENode*>& bestNode,
             EClassId klass, std::unordered_map<EClassId, TermPtr>& memo,
             std::unordered_set<EClassId>& inProgress)
 {
@@ -136,10 +131,9 @@ materialize(const EGraph& egraph,
     ISAMORE_CHECK_MSG(inProgress.insert(klass).second,
                       "cyclic extraction choice; cost function must "
                       "strictly increase along edges");
-    auto it = bestNode.find(klass);
-    ISAMORE_CHECK_MSG(it != bestNode.end(),
+    ISAMORE_CHECK_MSG(bestNode[klass] != nullptr,
                       "class has no extractable ground term");
-    const ENode& node = it->second;
+    const ENode& node = *bestNode[klass];
     std::vector<TermPtr> children;
     children.reserve(node.children.size());
     for (EClassId child : node.children) {

@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "support/check.hpp"
 
@@ -161,11 +162,19 @@ opAreaUm2(Op op)
 
 namespace {
 
+/**
+ * Arrival time per distinct node, searched linearly: patterns are a few
+ * dozen nodes, where a scan of a reused flat buffer beats building a
+ * hash map on every call.
+ */
+using ArrivalMemo = std::vector<std::pair<const Term*, double>>;
+
 /** Bottom-up scheduling walk producing arrival time and area. */
 class Scheduler {
  public:
-    Scheduler(const PatternResolver& resolver, int loopTripHint)
-        : resolver_(resolver), trips_(loopTripHint)
+    Scheduler(const PatternResolver& resolver, int loopTripHint,
+              ArrivalMemo& arrival)
+        : resolver_(resolver), trips_(loopTripHint), arrival_(arrival)
     {}
 
     /** Loads/stores encountered (they serialize through two ports). */
@@ -175,12 +184,13 @@ class Scheduler {
     double
     visit(const TermPtr& term)
     {
-        auto memoized = arrival_.find(term.get());
-        if (memoized != arrival_.end()) {
-            return memoized->second;
+        for (const auto& [node, arrival] : arrival_) {
+            if (node == term.get()) {
+                return arrival;
+            }
         }
-        double arrival = compute(term);
-        arrival_.emplace(term.get(), arrival);
+        const double arrival = compute(term);
+        arrival_.emplace_back(term.get(), arrival);
         return arrival;
     }
 
@@ -287,7 +297,8 @@ class Scheduler {
         // path and area.  Cost callers pass a resolver over scheduling
         // views (PatternRegistry::costResolver), which carry the
         // per-occurrence topology this walk charges area against.
-        Scheduler sub(resolver_, trips_);
+        ArrivalMemo subArrival;
+        Scheduler sub(resolver_, trips_, subArrival);
         double sub_arrival = sub.visit(body);
         area_ += sub.areaUm2();
         return worst + sub_arrival;
@@ -298,7 +309,7 @@ class Scheduler {
     double area_ = 0.0;
     int memOps_ = 0;
     int lastII_ = 1;
-    std::unordered_map<const Term*, double> arrival_;
+    ArrivalMemo& arrival_;
 };
 
 }  // namespace
@@ -307,7 +318,11 @@ HwCost
 estimatePattern(const TermPtr& pattern, const PatternResolver& resolver,
                 int loopTripHint)
 {
-    Scheduler scheduler(resolver, loopTripHint);
+    // One buffer per thread, reused across calls: daemon lanes and test
+    // threads each get their own.  The resolver may not re-enter here.
+    thread_local ArrivalMemo arrival;
+    arrival.clear();
+    Scheduler scheduler(resolver, loopTripHint, arrival);
     const double critical = scheduler.visit(pattern);
     HwCost cost;
     // Memory operations serialize through two ports at 1.5 cycles each;

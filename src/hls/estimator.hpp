@@ -50,7 +50,9 @@ double opAreaUm2(Op op);
  * Estimate the hardware cost of @p pattern.
  *
  * @param pattern candidate instruction behaviour (holes = operand ports)
- * @param resolver optional resolver for App(previous-pattern) nodes
+ * @param resolver optional resolver for App(previous-pattern) nodes;
+ *        it must not call estimatePattern (the walk's per-thread memo
+ *        is not re-entrant)
  * @param loopTripHint assumed trip count for pipelined Loop patterns
  */
 HwCost estimatePattern(const TermPtr& pattern,

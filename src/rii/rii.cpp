@@ -315,11 +315,13 @@ runRii(const frontend::EncodedProgram& program,
             // Cost the candidates and keep the best few.  A candidate
             // whose evaluation fails is dropped, not fatal.
             std::vector<PatternEval> costed;
+            uint64_t costEvaluations = 0;
             {
                 TELEM_SPAN("rii.cost", "rii");
                 auto costOne = [&](const TermPtr& p) {
                     try {
                         int64_t id = result.registry.add(p);
+                        ++costEvaluations;
                         costed.push_back(cost.evaluate(id, work.egraph));
                     } catch (const InternalError&) {
                         ++diag.skippedPatterns;
@@ -358,9 +360,15 @@ runRii(const frontend::EncodedProgram& program,
                 }
                 for (int64_t id : pre_patterns) {
                     if (have.count(id) == 0 && costed.size() < 64) {
+                        ++costEvaluations;
                         costed.push_back(cost.evaluate(id, work.egraph));
                     }
                 }
+            }
+            if (telemetry::enabled()) {
+                telemetry::Registry::instance()
+                    .counter("cost.evaluations")
+                    .add(costEvaluations);
             }
             if (costed.empty()) {
                 continue;

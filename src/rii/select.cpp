@@ -5,17 +5,17 @@
 #include <unordered_map>
 #include <unordered_set>
 
-#include "egraph/analysis.hpp"
 #include "egraph/extract.hpp"
 #include "profile/timing.hpp"
 #include "support/check.hpp"
 #include "support/fault.hpp"
+#include "support/telemetry.hpp"
 
 namespace isamore {
 namespace rii {
 namespace {
 
-using Mask = uint64_t;
+using detail::Mask;
 
 /** Pattern id of an App e-node (via its PatRef child), or -1. */
 int64_t
@@ -70,24 +70,35 @@ class FrontOps {
     {
         std::sort(masks.begin(), masks.end());
         masks.erase(std::unique(masks.begin(), masks.end()), masks.end());
+        // Score each mask once.  The sort below sees the same comparison
+        // results as one that rescores inside the comparator, so it
+        // produces the same permutation.
+        struct Scored {
+            double delta;
+            double area;
+            Mask mask;
+        };
+        std::vector<Scored> scored;
+        scored.reserve(masks.size());
+        for (Mask m : masks) {
+            scored.push_back({deltaOf(m), areaOf(m), m});
+        }
         // Sort by saving (descending), then area (ascending).
-        std::sort(masks.begin(), masks.end(), [&](Mask x, Mask y) {
-            double dx = deltaOf(x);
-            double dy = deltaOf(y);
-            if (dx != dy) {
-                return dx > dy;
-            }
-            return areaOf(x) < areaOf(y);
-        });
+        std::sort(scored.begin(), scored.end(),
+                  [](const Scored& x, const Scored& y) {
+                      if (x.delta != y.delta) {
+                          return x.delta > y.delta;
+                      }
+                      return x.area < y.area;
+                  });
         // Non-dominated prefix scan: keep masks whose area is below every
         // better-saving mask's area.
         std::vector<Mask> kept;
         double best_area = std::numeric_limits<double>::infinity();
-        for (Mask m : masks) {
-            double a = areaOf(m);
-            if (a < best_area || kept.empty()) {
-                kept.push_back(m);
-                best_area = std::min(best_area, a);
+        for (const Scored& s : scored) {
+            if (s.area < best_area || kept.empty()) {
+                kept.push_back(s.mask);
+                best_area = std::min(best_area, s.area);
             }
             if (kept.size() >= beamK_) {
                 break;
@@ -116,7 +127,135 @@ class FrontOps {
     size_t beamK_;
 };
 
+/** Bit index, saving and area of each candidate. */
+struct BitTables {
+    std::unordered_map<int64_t, int> bitOf;
+    std::vector<double> delta;
+    std::vector<double> area;
+};
+
+BitTables
+bitTables(const std::vector<PatternEval>& candidates,
+          const SelectOptions& options)
+{
+    ISAMORE_USER_CHECK(candidates.size() <= 64,
+                       "selection supports at most 64 candidates");
+    BitTables bits;
+    bits.delta.resize(candidates.size());
+    bits.area.resize(candidates.size());
+    for (size_t i = 0; i < candidates.size(); ++i) {
+        bits.bitOf[candidates[i].id] = static_cast<int>(i);
+        bits.area[i] = candidates[i].hw.areaUm2;
+        bits.delta[i] =
+            options.astSizeObjective
+                ? static_cast<double>(candidates[i].uses.size()) *
+                      (static_cast<double>(candidates[i].opCount) - 1.0)
+                : candidates[i].deltaNs;
+    }
+    return bits;
+}
+
 }  // namespace
+
+namespace detail {
+
+Fronts
+propagateFronts(const EGraph& egraph,
+                const std::vector<PatternEval>& candidates,
+                const SelectOptions& options, Budget& budget)
+{
+    const BitTables bits = bitTables(candidates, options);
+    const FrontOps ops(bits.delta, bits.area, options.beamK);
+    Fronts out;
+    out.fronts.resize(egraph.numIds());
+
+    // A class's front is a function of its children's fronts, so an
+    // ascending sweep only changes a class when some child's front changed
+    // since the class was last evaluated -- and then the class is that
+    // child's parent and sits in the worklist.  A parent above the changed
+    // class is evaluated later in the current ascending pass (as the sweep
+    // would); one at or below it waits for the next pass.  Each pass is
+    // one round of the sweep, with the same fronts after it.
+    auto evaluate = [&](EClassId id) {
+        std::vector<Mask> merged;
+        for (const ENode& node : egraph.cls(id).nodes) {
+            std::vector<Mask> nodeFront{0};
+            bool ready = true;
+            for (EClassId child : node.children) {
+                const std::vector<Mask>& childFront =
+                    out.fronts[egraph.find(child)];
+                if (childFront.empty()) {
+                    ready = false;
+                    break;
+                }
+                nodeFront = ops.combine(nodeFront, childFront);
+            }
+            if (!ready) {
+                continue;
+            }
+            int64_t pid = appPatternId(egraph, node);
+            if (pid >= 0) {
+                auto bit = bits.bitOf.find(pid);
+                if (bit == bits.bitOf.end()) {
+                    continue;  // unknown pattern: not selectable
+                }
+                for (Mask& m : nodeFront) {
+                    m |= (1ull << bit->second);
+                }
+            }
+            merged.insert(merged.end(), nodeFront.begin(), nodeFront.end());
+        }
+        if (merged.empty()) {
+            return false;
+        }
+        auto pruned = ops.prune(std::move(merged));
+        auto& slot = out.fronts[id];
+        if (slot == pruned) {
+            return false;
+        }
+        slot = std::move(pruned);
+        return true;
+    };
+
+    // Only classes holding a leaf node get a front unprompted.
+    PassWorklist worklist(egraph.numIds());
+    for (EClassId id : egraph.classIds()) {
+        for (const ENode& node : egraph.cls(id).nodes) {
+            if (node.children.empty()) {
+                worklist.seed(id);
+                break;
+            }
+        }
+    }
+    for (int round = 0; round < options.maxRounds; ++round) {
+        // The fronts computed so far stay internally consistent when the
+        // fixpoint is cut short; stopping here only loses solutions.
+        if (fault::tripped("select.round") || !budget.ok()) {
+            out.truncated = true;
+            break;
+        }
+        out.roundsRun = static_cast<size_t>(round) + 1;
+        bool changed = false;
+        EClassId id = 0;
+        while (worklist.pop(id)) {
+            ++out.classEvals;
+            if (!evaluate(id)) {
+                continue;
+            }
+            changed = true;
+            for (const auto& use : egraph.cls(id).parents) {
+                worklist.push(egraph.find(use.second), id);
+            }
+        }
+        worklist.nextPass();
+        if (!changed) {
+            break;
+        }
+    }
+    return out;
+}
+
+}  // namespace detail
 
 std::vector<Solution>
 paretoFilter(std::vector<Solution> solutions)
@@ -149,8 +288,7 @@ selectAndRefine(const EGraph& egraph, EClassId root,
                 const CostModel& cost, const SelectOptions& options,
                 Budget* parent, SelectOutcome* outcome)
 {
-    ISAMORE_USER_CHECK(candidates.size() <= 64,
-                       "selection supports at most 64 candidates");
+    const BitTables bits = bitTables(candidates, options);
     root = egraph.find(root);
 
     BudgetSpec spec;
@@ -160,85 +298,24 @@ selectAndRefine(const EGraph& egraph, EClassId root,
     SelectOutcome& out = outcome != nullptr ? *outcome : localOutcome;
     out = SelectOutcome{};
 
-    // Bit tables.
-    std::unordered_map<int64_t, int> bitOf;
-    std::vector<double> delta(candidates.size());
-    std::vector<double> area(candidates.size());
-    for (size_t i = 0; i < candidates.size(); ++i) {
-        bitOf[candidates[i].id] = static_cast<int>(i);
-        area[i] = candidates[i].hw.areaUm2;
-        delta[i] = options.astSizeObjective
-                       ? static_cast<double>(candidates[i].uses.size()) *
-                             (static_cast<double>(candidates[i].opCount) -
-                              1.0)
-                       : candidates[i].deltaNs;
-    }
-    FrontOps ops(delta, area, options.beamK);
-
-    // Fixpoint propagation of per-class fronts.
-    const auto ids = egraph.classIds();
-    ClassMap<std::vector<Mask>> fronts;
-    for (int round = 0; round < options.maxRounds; ++round) {
-        // The fronts computed so far stay internally consistent when the
-        // fixpoint is cut short; stopping here only loses solutions.
-        if (fault::tripped("select.round") || !budget.ok()) {
-            out.truncated = true;
-            break;
-        }
-        out.roundsRun = static_cast<size_t>(round) + 1;
-        bool changed = false;
-        for (EClassId id : ids) {
-            std::vector<Mask> merged;
-            for (const ENode& node : egraph.cls(id).nodes) {
-                std::vector<Mask> nodeFront{0};
-                bool ready = true;
-                for (EClassId child : node.children) {
-                    auto it = fronts.find(egraph.find(child));
-                    if (it == fronts.end()) {
-                        ready = false;
-                        break;
-                    }
-                    nodeFront = ops.combine(nodeFront, it->second);
-                }
-                if (!ready) {
-                    continue;
-                }
-                int64_t pid = appPatternId(egraph, node);
-                if (pid >= 0) {
-                    auto bit = bitOf.find(pid);
-                    if (bit == bitOf.end()) {
-                        continue;  // unknown pattern: not selectable
-                    }
-                    for (Mask& m : nodeFront) {
-                        m |= (1ull << bit->second);
-                    }
-                }
-                merged.insert(merged.end(), nodeFront.begin(),
-                              nodeFront.end());
-            }
-            if (merged.empty()) {
-                continue;
-            }
-            auto pruned = ops.prune(std::move(merged));
-            auto& slot = fronts[id];
-            if (slot != pruned) {
-                slot = std::move(pruned);
-                changed = true;
-            }
-        }
-        if (!changed) {
-            break;
-        }
+    const detail::Fronts fixpoint =
+        detail::propagateFronts(egraph, candidates, options, budget);
+    out.truncated = fixpoint.truncated;
+    out.roundsRun = fixpoint.roundsRun;
+    if (telemetry::enabled()) {
+        auto& registry = telemetry::Registry::instance();
+        registry.counter("select.rounds").add(fixpoint.roundsRun);
+        registry.counter("select.class_evals").add(fixpoint.classEvals);
     }
 
-    auto rootFront = fronts.find(root);
-    if (rootFront == fronts.end()) {
+    const std::vector<Mask>& rootFront = fixpoint.fronts[root];
+    if (rootFront.empty()) {
         return {};
     }
 
     // Refinement per front element.
     std::vector<Solution> solutions;
-    for (Mask mask : rootFront->second) {
+    for (Mask mask : rootFront) {
         if (fault::tripped("select.refine") || !budget.ok()) {
             out.truncated = true;
             break;
@@ -253,9 +330,9 @@ selectAndRefine(const EGraph& egraph, EClassId root,
             }
             int64_t pid = appPatternId(egraph, node);
             if (pid >= 0) {
-                auto bit = bitOf.find(pid);
+                auto bit = bits.bitOf.find(pid);
                 const bool selected =
-                    bit != bitOf.end() &&
+                    bit != bits.bitOf.end() &&
                     (mask & (1ull << bit->second)) != 0;
                 if (!selected) {
                     return 1e15;  // exclude unselected patterns

@@ -76,5 +76,31 @@ std::vector<Solution> selectAndRefine(const EGraph& egraph, EClassId root,
 /** Keep only non-dominated (speedup up, area down) solutions. */
 std::vector<Solution> paretoFilter(std::vector<Solution> solutions);
 
+namespace detail {
+
+/** A set of selected candidates: bit i is candidates[i]. */
+using Mask = uint64_t;
+
+/** Per-class fronts after the selection fixpoint. */
+struct Fronts {
+    /** Indexed by class id (size numIds()); empty = no front yet. */
+    std::vector<std::vector<Mask>> fronts;
+    size_t roundsRun = 0;    ///< as SelectOutcome::roundsRun
+    bool truncated = false;  ///< a `select.round` fault or budget trip
+    uint64_t classEvals = 0; ///< class front evaluations (work counter)
+};
+
+/**
+ * The front fixpoint of selectAndRefine, exposed for its oracle test: the
+ * result equals that of ascending sweeps over every class, repeated until
+ * a round changes nothing or options.maxRounds rounds have run, with the
+ * same round count and truncation.
+ */
+Fronts propagateFronts(const EGraph& egraph,
+                       const std::vector<PatternEval>& candidates,
+                       const SelectOptions& options, Budget& budget);
+
+}  // namespace detail
+
 }  // namespace rii
 }  // namespace isamore

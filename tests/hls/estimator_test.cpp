@@ -1,5 +1,8 @@
 #include "hls/estimator.hpp"
 
+#include <thread>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 namespace isamore {
@@ -105,6 +108,60 @@ TEST(HlsTest, LeavesAreFree)
 {
     EXPECT_EQ(estimatePattern(parseTerm("?0")).areaUm2, 0.0);
     EXPECT_EQ(estimatePattern(parseTerm("5")).areaUm2, 0.0);
+}
+
+// Each thread walks with its own arrival memo: threads estimating the
+// same shared DAGs at once, through a resolver into App bodies, must each
+// see exactly the serial estimates.
+TEST(HlsTest, ConcurrentEstimatesMatchSerial)
+{
+    TermPtr prod = parseTerm("(* ?0 ?1)");
+    TermPtr sub = parseTerm("(* (+ ?0 ?1) 2)");
+    TermPtr nested = makeTerm(Op::Add, {parseTerm("(app (pat 5) ?0 ?1)"),
+                                        parseTerm("(app (pat 5) ?1 ?0)")});
+    const PatternResolver resolver = [&](int64_t id) -> TermPtr {
+        return id == 5 ? sub : id == 6 ? nested : nullptr;
+    };
+    const std::vector<TermPtr> patterns = {
+        makeTerm(Op::Add, {prod, prod}),
+        makeTerm(Op::Sub, {makeTerm(Op::Mul, {prod, prod}), prod}),
+        parseTerm("(+ (app (pat 5) ?0 ?1) ?2)"),
+        parseTerm("(app (pat 6) (app (pat 5) ?0 ?1) ?2)"),
+        parseTerm("(loop (list 0 0) (list (< $0.0 16) (+ $0.0 1)"
+                  " (+ $0.1 (* $0.0 3))))"),
+        parseTerm("(vop * (vec ?0 ?1 ?2 ?3) (vec ?4 ?5 ?6 ?7))"),
+        parseTerm("(/ (* ?0 ?1) ?2)"),
+    };
+    std::vector<HwCost> serial;
+    for (const TermPtr& p : patterns) {
+        serial.push_back(estimatePattern(p, resolver));
+    }
+
+    constexpr size_t kThreads = 4;
+    std::vector<size_t> mismatches(kThreads, 0);
+    std::vector<std::thread> threads;
+    for (size_t t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t] {
+            for (size_t i = 0; i < 400; ++i) {
+                // Staggered start: threads hit different patterns at once.
+                const size_t k = (i + t) % patterns.size();
+                const HwCost got = estimatePattern(patterns[k], resolver);
+                const HwCost& want = serial[k];
+                if (got.cycles != want.cycles ||
+                    got.latencyNs != want.latencyNs ||
+                    got.areaUm2 != want.areaUm2 ||
+                    got.initiationInterval != want.initiationInterval) {
+                    ++mismatches[t];
+                }
+            }
+        });
+    }
+    for (std::thread& thread : threads) {
+        thread.join();
+    }
+    for (size_t t = 0; t < kThreads; ++t) {
+        EXPECT_EQ(mismatches[t], 0u) << "thread " << t;
+    }
 }
 
 }  // namespace

@@ -12,6 +12,11 @@
  * telemetry probes (PR 5, exercised by the Telemetry* variants below):
  * none of them may change what the pipeline computes.
  *
+ * The matchain, qrdecomp and deriche goldens and the two non-default-mode
+ * 2dconv goldens (`2dconv_astsize`, `2dconv_kdsample`) were taken later,
+ * from the tree just before the flat-memo HLS estimator and the select
+ * worklist, so that both rewrites are pinned to the bytes they replaced.
+ *
  * Regenerate (only when an intentional output change lands) with
  *   ISAMORE_REGEN_GOLDEN=1 ./tests/test_integration \
  *       --gtest_filter='GoldenIdentityTest.*'
@@ -55,14 +60,14 @@ goldenPath(const std::string& name)
 }
 
 /**
- * Run @p name at 1/2/4 threads and pin the report to the golden bytes.
- * The telemetry variant does the same with the probes enabled -- spans
- * and metrics must be a pure side channel, so the report bytes have to
- * match the same golden the telemetry-off runs pin.
+ * Run @p name in @p mode at 1/2/4 threads and pin the report to the
+ * golden bytes.  The telemetry variant does the same with the probes
+ * enabled -- spans and metrics must be a pure side channel, so the
+ * report bytes have to match the same golden the telemetry-off runs pin.
  */
 void
 runCase(const std::string& name, workloads::Workload (*factory)(),
-        bool withTelemetry = false)
+        bool withTelemetry = false, rii::Mode mode = rii::Mode::Default)
 {
     const size_t restore = globalThreadCount();
     const AnalyzedWorkload analyzed = analyzeWorkload(factory());
@@ -72,7 +77,7 @@ runCase(const std::string& name, workloads::Workload (*factory)(),
         setGlobalThreads(threads);
         telemetry::setEnabled(withTelemetry);
         rii::RiiResult result =
-            identifyInstructions(analyzed, rii::Mode::Default);
+            identifyInstructions(analyzed, mode);
         telemetry::setEnabled(false);
         const std::string json =
             stripWallClock(resultToJson(analyzed, result));
@@ -120,6 +125,31 @@ TEST(GoldenIdentityTest, Stencil)
 }
 TEST(GoldenIdentityTest, QProd) { runCase("qprod", workloads::makeQProd); }
 TEST(GoldenIdentityTest, Sha) { runCase("sha", workloads::makeSha); }
+TEST(GoldenIdentityTest, MatChain)
+{
+    runCase("matchain", workloads::makeMatChain);
+}
+TEST(GoldenIdentityTest, QRDecomp)
+{
+    runCase("qrdecomp", workloads::makeQRDecomp);
+}
+TEST(GoldenIdentityTest, Deriche)
+{
+    runCase("deriche", workloads::makeDeriche);
+}
+
+// Non-default modes: AstSize pins the term-size objective of the front
+// pruner, KDSample the k-d tree sampling path of the AU sweep.
+TEST(GoldenIdentityTest, Conv2DAstSize)
+{
+    runCase("2dconv_astsize", workloads::makeConv2D, false,
+            rii::Mode::AstSize);
+}
+TEST(GoldenIdentityTest, Conv2DKDSample)
+{
+    runCase("2dconv_kdsample", workloads::makeConv2D, false,
+            rii::Mode::KDSample);
+}
 
 // Telemetry-enabled variants: same goldens, probes on.  Two workloads
 // cover both pipeline shapes (matmul saturates, fft iterates) without

@@ -304,7 +304,7 @@ TEST(ObservedServeTest, NonOkResponsesDumpFlightTraces)
 
     // Each non-ok response must have left a parseable, request-id-named
     // Perfetto trace; the ok one (no SLO configured) must not.
-    for (const std::string& req : {"r-2", "r-3", "r-4"}) {
+    for (const char* req : {"r-2", "r-3", "r-4"}) {
         const std::string path = dir + "/flight_" + req + ".json";
         std::ifstream in(path);
         ASSERT_TRUE(in.good()) << "missing flight dump " << path;
